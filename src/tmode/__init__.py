@@ -1,7 +1,13 @@
 """Mode values, ball probabilities and radial moments of isotropic
 multivariate Student t distributions, with the Gaussian as the
 infinite-degrees-of-freedom member of the family.
+
+The Monte Carlo oracle (`tmode.mcoracle` and the names it exports) is
+loaded on first use: it is the only part of the package that needs
+numpy, whose import costs more than the rest of the package together.
 """
+
+import importlib
 
 from .ballprob import (
     QuadResult,
@@ -18,13 +24,6 @@ from .errors import (
     MomentExistenceError,
     MonotonicityViolationError,
     QuadratureConvergenceError,
-)
-from .mcoracle import (
-    SampleBatch,
-    SplitMix64,
-    estimate_ball_prob,
-    estimate_ball_prob_prefixes,
-    sample_t,
 )
 from .monotone import (
     MonotonicityReport,
@@ -89,3 +88,15 @@ __all__ = [
     "table1",
     "__version__",
 ]
+
+
+_MCORACLE_NAMES = frozenset(
+    ("SampleBatch", "SplitMix64", "estimate_ball_prob", "estimate_ball_prob_prefixes", "sample_t")
+)
+
+
+def __getattr__(name):
+    if name == "mcoracle" or name in _MCORACLE_NAMES:
+        mcoracle = importlib.import_module(".mcoracle", __name__)
+        return mcoracle if name == "mcoracle" else getattr(mcoracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

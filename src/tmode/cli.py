@@ -10,6 +10,9 @@ from the environment.
 
 Degrees of freedom are spelled "inf" for the Gaussian member. Numbers
 print with 6 significant digits unless --precision full is given.
+
+numpy is imported only by the commands that need it (Monte Carlo and
+log-spaced grids), so the others start without paying for it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ import sys
 from dataclasses import dataclass
 
 import click
-import numpy as np
 
-from . import ballprob, mcoracle, monotone, tdist
+from . import __version__, ballprob, monotone, tdist
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -118,22 +120,40 @@ def _parse_nu(text: str) -> float:
     return tdist.check_dof(value)
 
 
-def _parse_grid(text: str, log: bool) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise click.UsageError(f"grid must look like start:stop:count, got {text!r}")
+def _parse_range(text: str, name: str, spelling: str) -> tuple[float, float, int]:
+    """Split an option value spelled a:b:n into its two ends and its count."""
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        a, b, n = text.split(":")
+        return float(a), float(b), int(n)
     except ValueError:
-        raise click.UsageError(f"grid must look like start:stop:count, got {text!r}") from None
+        raise click.UsageError(f"{name} must look like {spelling}, got {text!r}") from None
+
+
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    """n evenly spaced points from a to b inclusive, bit for bit numpy.linspace."""
+    div = n - 1
+    step = (b - a) / div
+    if step == 0.0:
+        # the spacing underflowed; scale each fraction by the span instead
+        return [a + i / div * (b - a) for i in range(div)] + [b]
+    return [a + i * step for i in range(div)] + [b]
+
+
+def _geomspace(a: float, b: float, n: int) -> list[float]:
+    # numpy's power and log10 round differently from libm's on a few
+    # percent of inputs, so a pure-Python port would change printed grids
+    import numpy as np
+
+    return np.geomspace(a, b, n).tolist()
+
+
+def _parse_grid(text: str, log: bool) -> list[float]:
+    start, stop, count = _parse_range(text, "grid", "start:stop:count")
     if not (0.0 < start < stop) or not math.isfinite(stop):
         raise click.UsageError(f"grid endpoints must satisfy 0 < start < stop, got {text!r}")
     if count < 2:
         raise click.UsageError(f"grid needs at least 2 points, got {count}")
-    if log:
-        return list(np.geomspace(start, stop, count))
-    return list(np.linspace(start, stop, count))
+    return (_geomspace if log else _linspace)(start, stop, count)
 
 
 def _domain_errors_exit_2(fn):
@@ -164,7 +184,7 @@ def _output_options(fn):
 
 
 @click.group()
-@click.version_option(package_name="tmode")
+@click.version_option(version=__version__)
 def main():
     """Mode values, ball probabilities and radial moments of isotropic
     multivariate Student t distributions."""
@@ -188,7 +208,7 @@ def cmd_mode_value(k, nu_text, grid_text, log_spaced, fmt, output, precision):
     elif grid_text is not None:
         nus = _parse_grid(grid_text, log_spaced)
     else:
-        nus = list(np.geomspace(*DEFAULT_FIGURE_GRID))
+        nus = _geomspace(*DEFAULT_FIGURE_GRID)
     rows = [[float(nu), tdist.mode_value(nu, k)] for nu in nus]
     emit(OutputSpec(fmt, output), "mode-value", ["nu", "mode_value"], rows, precision)
 
@@ -201,26 +221,19 @@ def cmd_mode_value(k, nu_text, grid_text, log_spaced, fmt, output, precision):
 @_domain_errors_exit_2
 def cmd_density_profile(k, nu_text, axis_range, fmt, output, precision):
     """Density along the first coordinate axis: rows of (nu, t, density)."""
-    parts = axis_range.split(":")
-    if len(parts) != 3:
-        raise click.UsageError(f"axis range must look like a:b:n, got {axis_range!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2])
-    except ValueError:
-        raise click.UsageError(f"axis range must look like a:b:n, got {axis_range!r}") from None
+    lo, hi, n = _parse_range(axis_range, "axis range", "a:b:n")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi) or n < 2:
         raise click.UsageError(f"axis range needs finite a < b and n >= 2, got {axis_range!r}")
     if nu_text.strip().lower() == "all":
         nus = [1.0, 2.0, 10.0, math.inf]
     else:
         nus = [_parse_nu(nu_text)]
-    ts = np.linspace(lo, hi, n)
+    ts = _linspace(lo, hi, n)
     rows = []
     for nu in nus:
         for t in ts:
-            point = [float(t)] + [0.0] * (k - 1)
-            rows.append([float(nu), float(t), math.exp(tdist.log_density(nu, k, point))])
+            point = [t] + [0.0] * (k - 1)
+            rows.append([float(nu), t, math.exp(tdist.log_density(nu, k, point))])
     emit(OutputSpec(fmt, output), "density-profile", ["nu", "t", "density"], rows, precision)
 
 
@@ -249,6 +262,8 @@ def cmd_table1(ctx, n_mc, seed, fmt, output, precision):
     for i, row in enumerate(ballprob.table1()):
         estimates = None
         if n_mc is not None:
+            from . import mcoracle
+
             batch = mcoracle.sample_t(row.nu, max(ballprob.TABLE1_DIMS), n_mc, seed + i)
             estimates = mcoracle.estimate_ball_prob_prefixes(batch, ballprob.TABLE1_RADIUS)
         for j, k in enumerate(ballprob.TABLE1_DIMS):
@@ -388,6 +403,8 @@ def cmd_sample(nu_text, k, n, seed, radii, fmt, output, precision):
     The z column is (estimate - analytic) over the binomial standard
     error at the analytic probability.
     """
+    from . import mcoracle
+
     nu = _parse_nu(nu_text)
     batch = mcoracle.sample_t(nu, k, n, seed)
     rows = []

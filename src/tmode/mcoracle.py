@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ballprob import _check_radius
 from .errors import DomainError
 from .tdist import check_dim, check_dof
 
@@ -141,9 +142,7 @@ def sample_t(nu, k: int, n: int, seed: int) -> SampleBatch:
 
 def estimate_ball_prob(batch: SampleBatch, r) -> tuple[float, float]:
     """Empirical P(|X| <= r) with its binomial standard error."""
-    r = float(r)
-    if math.isnan(r) or math.isinf(r) or r < 0.0:
-        raise DomainError(f"radius must be a finite nonnegative real, got {r!r}")
+    r = _check_radius(r)
     sq = np.einsum("ij,ij->i", batch.draws, batch.draws)
     hits = int(np.count_nonzero(sq <= r * r))
     p = hits / batch.n
@@ -161,9 +160,7 @@ def estimate_ball_prob_prefixes(batch: SampleBatch, r) -> list[tuple[float, floa
     for dimension j. The prefix estimates share draws and are therefore
     correlated across j, but each one is individually unbiased.
     """
-    r = float(r)
-    if math.isnan(r) or math.isinf(r) or r < 0.0:
-        raise DomainError(f"radius must be a finite nonnegative real, got {r!r}")
+    r = _check_radius(r)
     sq = np.cumsum(batch.draws * batch.draws, axis=1)
     out = []
     for j in range(batch.k):

@@ -5,8 +5,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tmode import cli, tdist
 
@@ -89,6 +92,8 @@ class TestModeValue:
             ["mode-value", "--k", "0", "--nu", "3"],
             ["mode-value", "--k", "1", "--nu", "-3"],
             ["mode-value", "--k", "1", "--nu", "spam"],
+            ["mode-value", "--k", "1", "--grid", "1:2:3:4"],
+            ["mode-value", "--k", "1", "--grid", "1:5:2.5"],
         ],
     )
     def test_usage_errors(self, runner, args):
@@ -124,7 +129,7 @@ class TestDensityProfile:
         assert at_zero["1.0"] > at_zero["2.0"] > at_zero["10.0"] > at_zero["inf"]
 
     def test_bad_range(self, runner):
-        for bad in ("1:0:5", "0:1:1", "x:1:5"):
+        for bad in ("1:0:5", "0:1:1", "x:1:5", "0:1", "0:1:2:3", "0:inf:5"):
             result = runner.invoke(cli.main, ["density-profile", "--k", "1", "--axis-range", bad])
             assert result.exit_code == 2
 
@@ -285,7 +290,28 @@ class TestSample:
         assert result.exit_code == 2
 
 
+class TestGrids:
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=2, max_value=2000),
+    )
+    @example(0.0, 5e-324, 3)  # the spacing underflows to zero
+    @example(-1e308, 1e308, 5)  # the span overflows
+    @settings(max_examples=300, deadline=None)
+    def test_linear_grid_matches_numpy_bit_for_bit(self, a, b, n):
+        a, b = min(a, b), max(a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linspace(a, b, n).tolist()
+        assert [x.hex() for x in cli._linspace(a, b, n)] == [x.hex() for x in want]
+
+
 class TestFormatting:
+    def test_version(self, runner):
+        result = runner.invoke(cli.main, ["--version"])
+        assert result.exit_code == 0
+        assert result.output.rstrip().endswith("version 0.1.0")
+
     def test_csv_uses_lf_only(self, runner):
         result = runner.invoke(cli.main, ["table1"])
         assert "\r" not in result.output

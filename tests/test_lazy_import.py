@@ -1,0 +1,76 @@
+"""numpy stays off the import path until Monte Carlo or a log grid needs it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import tmode
+from tmode import mcoracle
+
+SRC = Path(tmode.__file__).resolve().parent.parent
+
+MCORACLE_NAMES = ("SampleBatch", "SplitMix64", "estimate_ball_prob", "estimate_ball_prob_prefixes", "sample_t")
+
+# Runs in a fresh interpreter; prints, after each step, whether numpy is loaded.
+PROBE = """
+import contextlib, io, json, sys
+seen = []
+import tmode
+seen.append(["import tmode", "numpy" in sys.modules])
+import tmode.cli
+seen.append(["import tmode.cli", "numpy" in sys.modules])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tmode.cli.main.main(args=argv, prog_name="tmode", standalone_mode=False)
+    seen.append([" ".join(argv), "numpy" in sys.modules, code or 0])
+print(json.dumps(seen))
+"""
+
+NUMPY_FREE = [
+    ["mode-value", "--nu", "3", "--k", "3"],
+    ["mode-value", "--k", "2", "--grid", "0.5:20:15"],
+    ["density-profile", "--k", "3", "--axis-range", "-2:2:9"],
+    ["table1"],
+    ["verify", "--k-max", "3", "--points", "20"],
+    ["moments", "--nu1", "5", "--nu2", "10", "--k", "3", "--m", "2"],
+]
+
+
+def probe(commands):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_numpy_free_commands_never_load_numpy():
+    seen = probe(NUMPY_FREE)
+    assert [step[0] for step in seen] == ["import tmode", "import tmode.cli"] + [" ".join(a) for a in NUMPY_FREE]
+    assert [step for step in seen if step[1]] == []
+    assert all(step[2] == 0 for step in seen[2:])
+
+
+def test_sample_loads_numpy():
+    seen = probe([["sample", "--nu", "3", "--k", "2", "--n", "100", "--seed", "1"]])
+    assert seen[-1][1:] == [True, 0]
+
+
+def test_monte_carlo_names_resolve_to_mcoracle():
+    assert tmode.sample_t is tmode.mcoracle.sample_t
+    for name in MCORACLE_NAMES:
+        assert name in tmode.__all__
+        assert getattr(tmode, name) is getattr(mcoracle, name)
+
+
+def test_star_import_binds_all_public_names():
+    namespace = {}
+    exec("from tmode import *", namespace)
+    assert set(tmode.__all__) <= set(namespace)
+    assert namespace["sample_t"] is mcoracle.sample_t
