@@ -19,6 +19,7 @@ from .ballprob import (
     table1,
 )
 from .errors import (
+    ConvergenceError,
     DimensionMismatchError,
     DomainError,
     MomentExistenceError,
@@ -33,7 +34,7 @@ from .monotone import (
     induction_step_check,
     mode_value_even_product,
 )
-from .specfun import digamma, log_gamma, polygamma, reg_inc_beta, reg_lower_inc_gamma
+from .specfun import digamma, log_gamma, log_gamma_ratio, polygamma, reg_inc_beta, reg_lower_inc_gamma
 from .tdist import (
     GAUSSIAN_DOF,
     check_dim,
@@ -50,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GAUSSIAN_DOF",
+    "ConvergenceError",
     "DimensionMismatchError",
     "DomainError",
     "MomentExistenceError",
@@ -76,6 +78,7 @@ __all__ = [
     "kurtosis_ratio",
     "log_density",
     "log_gamma",
+    "log_gamma_ratio",
     "log_mode_value",
     "mode_value",
     "mode_value_even_product",

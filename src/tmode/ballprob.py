@@ -69,8 +69,10 @@ def ball_prob(nu, k: int, r) -> float:
     """P(|X| <= r) by the closed form.
 
     For finite nu the squared norm satisfies |X|^2/k ~ F(k, nu), so the
-    probability is I_x(k/2, nu/2) at x = r^2/(r^2 + nu); the Gaussian
-    limit uses the chi-square law, P(k/2, r^2/2).
+    probability is I_x(k/2, nu/2) at x = r^2/(r^2 + nu), with the
+    complement 1 - x = nu/(r^2 + nu) passed alongside so it is never
+    formed by subtraction; the Gaussian limit uses the chi-square law,
+    P(k/2, r^2/2).
     """
     nu = check_dof(nu)
     k = check_dim(k)
@@ -79,8 +81,8 @@ def ball_prob(nu, k: int, r) -> float:
         return 0.0
     if math.isinf(nu):
         return reg_lower_inc_gamma(0.5 * k, 0.5 * r * r)
-    x = r * r / (r * r + nu)
-    return reg_inc_beta(0.5 * k, 0.5 * nu, x)
+    r2 = r * r
+    return reg_inc_beta(0.5 * k, 0.5 * nu, r2 / (r2 + nu), nu / (r2 + nu))
 
 
 def _simpson_recurse(

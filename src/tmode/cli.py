@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -39,18 +38,6 @@ SCHEMA_VERSION = "1"
 DEFAULT_FIGURE_GRID = (0.1, 30.0, 200)
 
 _DOMAIN_ERRORS = (DomainError, DimensionMismatchError, MomentExistenceError)
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    """Where and how a command's table goes."""
-
-    format: str  # "csv" or "json"
-    path: str  # "-" means standard output
-
-    def __post_init__(self):
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"unrecognized output format {self.format!r}")
 
 
 def _format_number(value: float, precision: str) -> str:
@@ -81,9 +68,9 @@ def _cell_json(value, precision: str):
     return value
 
 
-def emit(spec: OutputSpec, command: str, header: list[str], rows: list[list], precision: str) -> None:
-    """Write one table through the chosen format and destination."""
-    if spec.format == "csv":
+def emit(fmt: str, path: str, command: str, header: list[str], rows: list[list], precision: str) -> None:
+    """Write one table as fmt ("csv" or "json") to path ("-" for stdout)."""
+    if fmt == "csv":
         import csv
         import io
 
@@ -103,10 +90,10 @@ def emit(spec: OutputSpec, command: str, header: list[str], rows: list[list], pr
             ],
         }
         text = json.dumps(obj, indent=2) + "\n"
-    if spec.path == "-":
+    if path == "-":
         sys.stdout.write(text)
     else:
-        with open(spec.path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -210,7 +197,7 @@ def cmd_mode_value(k, nu_text, grid_text, log_spaced, fmt, output, precision):
     else:
         nus = _geomspace(*DEFAULT_FIGURE_GRID)
     rows = [[float(nu), tdist.mode_value(nu, k)] for nu in nus]
-    emit(OutputSpec(fmt, output), "mode-value", ["nu", "mode_value"], rows, precision)
+    emit(fmt, output, "mode-value", ["nu", "mode_value"], rows, precision)
 
 
 @main.command("density-profile")
@@ -234,7 +221,7 @@ def cmd_density_profile(k, nu_text, axis_range, fmt, output, precision):
         for t in ts:
             point = [t] + [0.0] * (k - 1)
             rows.append([float(nu), t, math.exp(tdist.log_density(nu, k, point))])
-    emit(OutputSpec(fmt, output), "density-profile", ["nu", "t", "density"], rows, precision)
+    emit(fmt, output, "density-profile", ["nu", "t", "density"], rows, precision)
 
 
 @main.command("table1")
@@ -278,7 +265,7 @@ def cmd_table1(ctx, n_mc, seed, fmt, output, precision):
                 se_analytic = math.sqrt(analytic * (1.0 - analytic) / n_mc)
                 out_row += [est, se_analytic, abs(est - analytic) <= 4.0 * se_analytic]
             rows.append(out_row)
-    emit(OutputSpec(fmt, output), "table1", header, rows, precision)
+    emit(fmt, output, "table1", header, rows, precision)
     if mismatches:
         for nu, k, analytic, published in mismatches:
             click.echo(
@@ -356,7 +343,7 @@ def cmd_verify(ctx, k_max, grid_text, points, fmt, output, precision):
         if k % 2 == 0 and not aux_ok:
             failures.append(f"k={k}: product-form disagreement {aux}")
         rows.append([k, expected, report.classification, report.max_derivative_residual, aux, ok])
-    emit(OutputSpec(fmt, output), "verify", header, rows, precision)
+    emit(fmt, output, "verify", header, rows, precision)
     if failures:
         for line in failures:
             click.echo(f"violation: {line}", err=True)
@@ -386,7 +373,7 @@ def cmd_moments(nu1_text, nu2_text, k, m, fmt, output, precision):
         ratio = tdist.moment_ratio(nu1, nu2, dim, m)
         kurt = tdist.kurtosis_ratio(nu1, nu2, dim) if have_kurtosis else None
         rows.append([dim, ratio, kurt])
-    emit(OutputSpec(fmt, output), "moments", ["k", "moment_ratio", "kurtosis_ratio"], rows, precision)
+    emit(fmt, output, "moments", ["k", "moment_ratio", "kurtosis_ratio"], rows, precision)
 
 
 @main.command("sample")
@@ -418,7 +405,8 @@ def cmd_sample(nu_text, k, n, seed, radii, fmt, output, precision):
             z = 0.0 if est == analytic else math.inf
         rows.append([float(nu), k, n, seed, float(r), est, se, analytic, z])
     emit(
-        OutputSpec(fmt, output),
+        fmt,
+        output,
         "sample",
         ["nu", "k", "n", "seed", "radius", "estimate", "std_error", "analytic", "z"],
         rows,

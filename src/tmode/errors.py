@@ -5,6 +5,7 @@ __all__ = [
     "DimensionMismatchError",
     "MomentExistenceError",
     "QuadratureConvergenceError",
+    "ConvergenceError",
     "MonotonicityViolationError",
 ]
 
@@ -36,6 +37,19 @@ class QuadratureConvergenceError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
+
+
+class ConvergenceError(RuntimeError):
+    """A series or continued fraction ran out of iterations.
+
+    Carries the expansion's value when it stopped and the number of
+    iterations it ran, so callers can still inspect the partial result.
+    """
+
+    def __init__(self, message: str, best_estimate: float, iterations: int):
+        super().__init__(message)
+        self.best_estimate = best_estimate
+        self.iterations = iterations
 
 
 class MonotonicityViolationError(RuntimeError):

@@ -115,7 +115,6 @@ class MonotonicityReport:
     classification: str  # "increasing" | "constant" | "decreasing"
     max_derivative_residual: float
     grid: tuple[float, ...]
-    witness_violations: tuple[tuple[float, float], ...]
 
 
 def _validate_grid(grid: Sequence[float]) -> tuple[float, ...]:
@@ -206,7 +205,6 @@ def classify_monotonicity(
         classification=classification,
         max_derivative_residual=max_residual,
         grid=vals,
-        witness_violations=(),
     )
 
 

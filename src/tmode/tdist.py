@@ -10,18 +10,18 @@ and nu = GAUSSIAN_DOF (float infinity) selects the standard Gaussian
 limit with c(k) = (2 pi)^(-k/2). The mode value c(nu, k) is what the
 monotone module studies as a function of nu.
 
-Numerical core: c(nu, k) is never formed from raw log_gamma differences.
-With a = nu/2 those differences grow like a*ln(a) while the result stays
-O(k), so one ulp of the intermediates (about 9e-10 at nu = 1e6) would
-swamp the advertised accuracy. Instead
+Numerical core: no Gamma quotient is formed from raw log_gamma
+differences. With a = nu/2 those differences grow like a*ln(a) while the
+result stays O(k), so one ulp of the intermediates (about 9e-10 at
+nu = 1e6) would swamp the advertised accuracy. Every quotient instead
+goes through specfun.log_gamma_ratio, Q(a, s) = ln Gamma(a + s) -
+ln Gamma(a) - s ln a, which stays tiny for large a:
 
-    ln c(nu, k) = Q(a, k) - (k/2) ln(2 pi),
-    Q(a, k) = ln Gamma(a + k/2) - ln Gamma(a) - (k/2) ln a,
+    ln c(nu, k) = Q(nu/2, k/2) - (k/2) ln(2 pi),
+    ln E|X|^m   = (m/2) ln k + Q(k/2, m/2) + Q(nu/2, -m/2),
 
-where Q is assembled from log1p(j/a) factor terms plus a dedicated
-expansion of the half-step ratio, all of which stay tiny for large a.
-For k = 2 this collapses to Q = 0 and the mode value is the constant
-1/(2 pi) to within two ulps for every nu.
+and the nu term vanishes in the Gaussian limit. For k = 2, Q = 0 and the
+mode value is the constant 1/(2 pi) to within two ulps for every nu.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, MomentExistenceError
-from .specfun import log_gamma
+from .specfun import log_gamma_ratio
 
 __all__ = [
     "GAUSSIAN_DOF",
@@ -46,12 +46,6 @@ __all__ = [
 GAUSSIAN_DOF = math.inf
 
 _LN_2PI = math.log(2.0 * math.pi)
-
-# ln Gamma(a + 1/2) - ln Gamma(a) - (1/2) ln a for a >= 15: expansion in
-# 1/a with first omitted term below 9e-17 at the switch point. Below the
-# switch the direct log_gamma difference is accurate because the values
-# themselves are O(10).
-_HALF_RATIO_SWITCH = 15.0
 
 
 def check_dof(nu) -> float:
@@ -71,43 +65,28 @@ def check_dim(k) -> int:
     return k
 
 
-def _check_moment_order(m) -> float:
+def _check_moment_order(m, *nus: float) -> float:
+    # the m-th moment of each member exists for m < nu (always at nu = inf)
     m = float(m)
     if math.isnan(m) or math.isinf(m) or m < 0.0:
         raise DomainError(f"moment order must be a finite real >= 0, got {m!r}")
+    for nu in nus:
+        if m >= nu:
+            raise MomentExistenceError(f"moment of order {m} does not exist for nu={nu} (needs m < nu)")
     return m
 
 
-def _half_shift_ratio_norm(a: float) -> float:
-    # ln Gamma(a + 1/2) - ln Gamma(a) - 0.5 ln a
-    if a >= _HALF_RATIO_SWITCH:
-        w = 1.0 / (a * a)
-        p = 17.0 / 14336.0 + w * (-31.0 / 18432.0)
-        p = -1.0 / 640.0 + w * p
-        p = 1.0 / 192.0 + w * p
-        return (-0.125 + w * p) / a
-    return log_gamma(a + 0.5) - log_gamma(a) - 0.5 * math.log(a)
+def _exp(x: float) -> float:
+    # exp that saturates to inf instead of raising OverflowError
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
-def _log_gamma_ratio_norm(a: float, k: int) -> float:
-    # Q(a, k) = ln Gamma(a + k/2) - ln Gamma(a) - (k/2) ln a, built from
-    # pieces that are individually small for large a so nothing cancels.
-    half_steps = k // 2
-    parts = []
-    if k % 2:
-        parts.append(_half_shift_ratio_norm(a))
-        offset = 0.5
-    else:
-        offset = 0.0
-    for j in range(half_steps):
-        step = j + offset
-        if step:
-            parts.append(math.log1p(step / a))
-    if not parts:
-        return 0.0
-    if len(parts) == 1:
-        return parts[0]
-    return math.fsum(parts)
+def _log_moment_nu(nu: float, m: float) -> float:
+    # ln[(nu/2)^(m/2) Gamma((nu-m)/2) / Gamma(nu/2)], which is 0 in the Gaussian limit
+    return 0.0 if math.isinf(nu) else log_gamma_ratio(0.5 * nu, -0.5 * m)
 
 
 def log_mode_value(nu, k: int) -> float:
@@ -120,8 +99,7 @@ def log_mode_value(nu, k: int) -> float:
     k = check_dim(k)
     if math.isinf(nu):
         return -(0.5 * k) * _LN_2PI
-    q = _log_gamma_ratio_norm(nu / 2.0, k)
-    return q - (0.5 * k) * _LN_2PI
+    return log_gamma_ratio(0.5 * nu, 0.5 * k) - (0.5 * k) * _LN_2PI
 
 
 def mode_value(nu, k: int) -> float:
@@ -130,11 +108,7 @@ def mode_value(nu, k: int) -> float:
     Saturates to inf when the true value exceeds double range (tiny nu
     together with large k); use log_mode_value for those corners.
     """
-    log_value = log_mode_value(nu, k)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
+    return _exp(log_mode_value(nu, k))
 
 
 def log_density(nu, k: int, point: Sequence[float] | Iterable[float]) -> float:
@@ -172,22 +146,8 @@ def radial_moment(nu, k: int, m) -> float:
     """
     nu = check_dof(nu)
     k = check_dim(k)
-    m = _check_moment_order(m)
-    if m == 0.0:
-        return 1.0
-    if math.isinf(nu):
-        return math.exp(0.5 * m * math.log(2.0) + log_gamma(0.5 * (k + m)) - log_gamma(0.5 * k))
-    if m >= nu:
-        raise MomentExistenceError(
-            f"radial moment of order {m} does not exist for nu={nu} (needs m < nu)"
-        )
-    return math.exp(
-        0.5 * m * math.log(nu)
-        + log_gamma(0.5 * (k + m))
-        - log_gamma(0.5 * k)
-        + log_gamma(0.5 * (nu - m))
-        - log_gamma(0.5 * nu)
-    )
+    m = _check_moment_order(m, nu)
+    return _exp(0.5 * m * math.log(k) + log_gamma_ratio(0.5 * k, 0.5 * m) + _log_moment_nu(nu, m))
 
 
 def moment_ratio(nu1, nu2, k: int, m) -> float:
@@ -206,32 +166,8 @@ def moment_ratio(nu1, nu2, k: int, m) -> float:
     nu1 = check_dof(nu1)
     nu2 = check_dof(nu2)
     check_dim(k)
-    m = _check_moment_order(m)
-    if m == 0.0:
-        return 1.0
-    for nu in (nu1, nu2):
-        if not math.isinf(nu) and m >= nu:
-            raise MomentExistenceError(
-                f"moment of order {m} does not exist for nu={nu} (needs m < nu)"
-            )
-    inf1 = math.isinf(nu1)
-    inf2 = math.isinf(nu2)
-    if inf1 and inf2:
-        return 1.0
-    if inf1:
-        return 1.0 / moment_ratio(nu2, nu1, k, m)
-    if inf2:
-        # heavy-tailed member against the Gaussian limit
-        return math.exp(
-            0.5 * m * math.log(nu1 / 2.0) + log_gamma(0.5 * (nu1 - m)) - log_gamma(0.5 * nu1)
-        )
-    return math.exp(
-        0.5 * m * math.log(nu1 / nu2)
-        + log_gamma(0.5 * (nu1 - m))
-        + log_gamma(0.5 * nu2)
-        - log_gamma(0.5 * (nu2 - m))
-        - log_gamma(0.5 * nu1)
-    )
+    m = _check_moment_order(m, nu1, nu2)
+    return _exp(_log_moment_nu(nu1, m) - _log_moment_nu(nu2, m))
 
 
 def kurtosis_ratio(nu1, nu2, k: int) -> float:

@@ -41,7 +41,6 @@ def test_criterion_2_monotonicity_pattern(criterion):
         start = time.perf_counter()
         report = monotone.classify_monotonicity(1, grid=GRID)
         assert report.classification == "increasing"
-        assert report.witness_violations == ()
 
         report = monotone.classify_monotonicity(2, grid=GRID)
         assert report.classification == "constant"
@@ -51,7 +50,6 @@ def test_criterion_2_monotonicity_pattern(criterion):
         for k in range(3, 21):
             report = monotone.classify_monotonicity(k, grid=GRID)
             assert report.classification == "decreasing", f"k={k}"
-            assert report.witness_violations == ()
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"classification took {elapsed:.3f} s"
 

@@ -41,6 +41,11 @@ class TestClosedForm:
                 -math.expm1(-0.5 * r * r), rel=1e-13
             )
 
+    def test_huge_nu_matches_gaussian(self):
+        # at nu = 1e300 the F law is the chi-square law to double precision
+        for r in RADII[:-1]:
+            assert abs(ballprob.ball_prob(1e300, 2, r) + math.expm1(-0.5 * r * r)) <= 1e-12
+
     def test_at_zero_radius(self):
         for nu in (1.0, 3.5, math.inf):
             for k in (1, 2, 5):

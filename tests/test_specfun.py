@@ -5,7 +5,9 @@ here as literals; tolerances match the module's advertised constants.
 """
 
 import math
+import random
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,6 +229,10 @@ class TestLogGamma:
         for x in log_grid(1e-2, 1e4, 60):
             assert specfun.log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-13)
 
+    def test_exact_near_zero(self):
+        assert specfun.log_gamma(1e-10) == math.lgamma(1e-10)
+        assert math.isfinite(specfun.log_gamma(5e-324))
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
     def test_domain(self, bad):
         with pytest.raises(errors.DomainError):
@@ -238,6 +244,45 @@ class TestLogGamma:
         assert specfun.log_gamma(x) == pytest.approx(
             math.lgamma(x), rel=1e-12, abs=1e-12
         )
+
+
+def mp_dps(*values: float) -> int:
+    """mpmath working precision: the log-gamma terms grow like a ln a
+    while the quotients stay small, so 40 fixed digits fail at a = 1e300."""
+    return 30 + 2 * math.ceil(math.log10(max(1.0, *(abs(v) for v in values))))
+
+
+class TestLogGammaRatio:
+    @staticmethod
+    def within(a: float, s: float, rtol: float) -> bool:
+        """Q(a, s) agrees with mpmath to rtol * max(1, |Q|), plus the
+        advertised 1e-16 * |s| once the shift passes 1e4 whole steps."""
+        with mp.workdps(mp_dps(a, s)):
+            want = mp.loggamma(mp.mpf(a) + s) - mp.loggamma(a) - s * mp.log(a)
+            tol = rtol * max(1, abs(want)) + (2e-16 * abs(s) if abs(s) > 1e4 else 0.0)
+            return abs(specfun.log_gamma_ratio(a, s) - want) <= tol
+
+    def test_against_mpmath(self):
+        rng = random.Random(20)
+        for i in range(600):
+            a = 10.0 ** rng.uniform(-3.0, 300.0)
+            s = (rng.uniform(0.0, 300.0), -min(a, 300.0) * rng.random(), -a * rng.random())[i % 3]
+            if a + s > 0.0:
+                assert self.within(a, s, 1e-14), (a, s)
+
+    @pytest.mark.parametrize("a,s", [(2.0, 1e6), (5.0, 123456.5), (1e8, 3e4), (1e20, 2e5), (1e3, -999.5)])
+    def test_large_shifts(self, a, s):
+        assert self.within(a, s, 1e-14)
+
+    def test_exact_zero_and_unit_shift(self):
+        for a in (1e-300, 0.5, 7.25, 15.0, 1e6, 1e300):
+            assert specfun.log_gamma_ratio(a, 0.0) == 0.0
+            assert specfun.log_gamma_ratio(a, 1.0) == 0.0
+
+    @pytest.mark.parametrize("a,s", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, -2.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_domain(self, a, s):
+        with pytest.raises(errors.DomainError):
+            specfun.log_gamma_ratio(a, s)
 
 
 class TestDigamma:
@@ -351,6 +396,19 @@ class TestRegIncBeta:
             specfun.reg_inc_beta(1.0, 1.0, 1.01)
         with pytest.raises(errors.DomainError):
             specfun.reg_inc_beta(1.0, 1.0, math.nan)
+        with pytest.raises(errors.DomainError):
+            specfun.reg_inc_beta(1.0, 1.0, 0.5, 1.5)
+
+    def test_complement_argument(self):
+        for a, b, x in [(0.5, 0.5, 0.2), (3.0, 7.0, 0.42), (12.5, 3.25, 0.85)]:
+            assert specfun.reg_inc_beta(a, b, x, 1.0 - x) == specfun.reg_inc_beta(a, b, x)
+        assert specfun.reg_inc_beta(2.0, 3.0, 1.0, 0.0) == 1.0
+
+    def test_nonconvergence_is_typed(self):
+        with pytest.raises(errors.ConvergenceError) as info:
+            specfun.reg_inc_beta(1e6, 1e6, 0.5)
+        assert info.value.iterations == 499
+        assert math.isfinite(info.value.best_estimate)
 
     @given(
         st.floats(min_value=0.05, max_value=50.0),
@@ -401,6 +459,13 @@ class TestRegLowerIncGamma:
             specfun.reg_lower_inc_gamma(1.0, -0.5)
         with pytest.raises(errors.DomainError):
             specfun.reg_lower_inc_gamma(1.0, math.nan)
+
+    def test_nonconvergence_is_typed(self):
+        # the series needs about sqrt(a) terms here; it used to stop early
+        # and return 0.124 for a value near 0.5
+        with pytest.raises(errors.ConvergenceError) as info:
+            specfun.reg_lower_inc_gamma(1e9, 1e9)
+        assert info.value.iterations == 10000
 
     @given(st.floats(min_value=0.05, max_value=60.0), st.floats(min_value=0.0, max_value=80.0))
     @settings(max_examples=150, deadline=None)

@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from tmode import errors, tdist
@@ -66,6 +67,29 @@ DENSITY_E1_REFS = [
 # fmt: on
 
 
+def mp_dps(*nus: float) -> int:
+    """mpmath working precision: the log-gamma terms grow like nu ln nu
+    while the moments stay O(1), so 40 fixed digits fail at nu = 1e300."""
+    return 30 + 2 * math.ceil(math.log10(max([1.0, *(nu for nu in nus if math.isfinite(nu))])))
+
+
+def log_moment_nu(nu: float, m: float):
+    """ln of nu^(m/2) Gamma((nu-m)/2) / Gamma(nu/2); 2^(m/2) at nu = inf."""
+    m = mp.mpf(m)
+    if math.isinf(nu):
+        return m / 2 * mp.log(2)
+    return m / 2 * mp.log(nu) + mp.loggamma((mp.mpf(nu) - m) / 2) - mp.loggamma(mp.mpf(nu) / 2)
+
+
+def mpmath_cases(rng: random.Random, n: int = 150) -> list[tuple[float, int, float]]:
+    """(nu, k, m) with nu log-uniform on [1e-2, 1e12] plus the Gaussian, m < min(nu, 8)."""
+    cases = []
+    for i in range(n):
+        nu = math.inf if i % 10 == 0 else 10.0 ** rng.uniform(-2.0, 12.0)
+        cases.append((nu, rng.choice((1, 2, 3, 10, 50, 500)), min(nu, 8.0) * rng.uniform(0.05, 0.95)))
+    return cases
+
+
 class TestValidation:
     def test_check_dof(self):
         assert tdist.check_dof(2.5) == 2.5
@@ -116,6 +140,9 @@ class TestModeValue:
         assert tdist.mode_value(0.5, 400) == math.inf
         assert math.isfinite(tdist.log_mode_value(math.inf, 1000))
         assert tdist.mode_value(math.inf, 1000) == 0.0
+
+    def test_tiny_nu_is_finite(self):
+        assert math.isfinite(tdist.log_mode_value(1e-300, 3))
 
     def test_log_consistency(self):
         for nu, k, want in MODE_VALUE_REFS:
@@ -186,7 +213,7 @@ class TestRadialMoment:
 
     def test_variance_formula(self):
         # E|X|^2 = k nu / (nu - 2) for nu > 2.
-        for nu in (2.5, 5.0, 40.0):
+        for nu in (2.5, 5.0, 40.0, 1e12):
             for k in (1, 3, 7):
                 want = k * nu / (nu - 2.0)
                 assert tdist.radial_moment(nu, k, 2.0) == pytest.approx(want, rel=1e-13)
@@ -200,6 +227,17 @@ class TestRadialMoment:
 
     def test_gaussian_has_all_moments(self):
         assert tdist.radial_moment(math.inf, 2, 40.0) > 0.0
+
+    def test_saturates_beyond_double_range(self):
+        assert tdist.radial_moment(math.inf, 3, 400.0) == math.inf
+        assert tdist.radial_moment(1000.0, 3, 999.0) == math.inf
+        assert tdist.moment_ratio(2000.0, math.inf, 3, 1999.9) == math.inf
+
+    def test_against_mpmath(self):
+        for nu, k, m in mpmath_cases(random.Random(41)):
+            with mp.workdps(mp_dps(nu)):
+                want = mp.exp(log_moment_nu(nu, m) + mp.loggamma((mp.mpf(k) + m) / 2) - mp.loggamma(mp.mpf(k) / 2))
+                assert abs(tdist.radial_moment(nu, k, m) / want - 1) <= 1e-13, (nu, k, m)
 
     def test_bad_order(self):
         with pytest.raises(errors.DomainError):
@@ -217,6 +255,17 @@ class TestMomentRatio:
         # Variance ratio (5/3) / (10/8) = 4/3, independent of dimension.
         for k in (1, 4, 10):
             assert tdist.moment_ratio(5.0, 10.0, k, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-13)
+        # the same variance ratio far out in the tail weight
+        want = (1e12 / (1e12 - 2.0)) / (1e11 / (1e11 - 2.0))
+        assert tdist.moment_ratio(1e12, 1e11, 3, 2.0) == pytest.approx(want, rel=1e-13)
+
+    def test_against_mpmath(self):
+        rng = random.Random(43)
+        for nu1, k, m in mpmath_cases(rng):
+            nu2 = math.inf if rng.random() < 0.1 else 10.0 ** rng.uniform(math.log10(m) + 1e-9, 12.0)
+            with mp.workdps(mp_dps(nu1, nu2)):
+                want = mp.exp(log_moment_nu(nu1, m) - log_moment_nu(nu2, m))
+                assert abs(tdist.moment_ratio(nu1, nu2, k, m) / want - 1) <= 1e-12, (nu1, nu2, m)
 
     def test_same_member_is_one(self):
         for nu in (0.5, 3.0, 77.0, math.inf):
