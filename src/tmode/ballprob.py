@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureConvergenceError
-from .specfun import log_gamma, reg_inc_beta, reg_lower_inc_gamma
+from .specfun import _reg_inc_beta, log_gamma, reg_lower_inc_gamma
 from .tdist import check_dim, check_dof, log_mode_value
 
 __all__ = [
@@ -82,7 +82,10 @@ def ball_prob(nu, k: int, r) -> float:
     if math.isinf(nu):
         return reg_lower_inc_gamma(0.5 * k, 0.5 * r * r)
     r2 = r * r
-    return reg_inc_beta(0.5 * k, 0.5 * nu, r2 / (r2 + nu), nu / (r2 + nu))
+    total = r2 + nu
+    if math.isinf(total):
+        raise DomainError(f"r^2 + nu overflows at nu={nu!r}, r={r!r}")
+    return _reg_inc_beta(0.5 * k, 0.5 * nu, r2 / total, nu / total)
 
 
 def _simpson_recurse(

@@ -26,6 +26,7 @@ import click
 
 from . import __version__, ballprob, monotone, tdist
 from .errors import (
+    ConvergenceError,
     DimensionMismatchError,
     DomainError,
     MomentExistenceError,
@@ -60,11 +61,8 @@ def _cell_csv(value, precision: str) -> str:
 
 def _cell_json(value, precision: str):
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if precision == "full":
-            return float(value)
-        return float(f"{value:.6g}")
+        text = _format_number(value, precision)
+        return text if math.isinf(value) else float(text)
     return value
 
 
@@ -143,8 +141,8 @@ def _parse_grid(text: str, log: bool) -> list[float]:
     return (_geomspace if log else _linspace)(start, stop, count)
 
 
-def _domain_errors_exit_2(fn):
-    """Domain violations are caller mistakes: report them as usage errors."""
+def _library_errors(fn):
+    """One-line library errors: domain violations exit 2 as usage errors, non-convergence exits 1."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -152,6 +150,8 @@ def _domain_errors_exit_2(fn):
             return fn(*args, **kwargs)
         except _DOMAIN_ERRORS as exc:
             raise click.UsageError(str(exc)) from exc
+        except ConvergenceError as exc:
+            raise click.ClickException(str(exc)) from exc
 
     return wrapper
 
@@ -183,7 +183,7 @@ def main():
 @click.option("--grid", "grid_text", default=None, help="start:stop:count over degrees of freedom.")
 @click.option("--log", "log_spaced", is_flag=True, help="Log-space the grid.")
 @_output_options
-@_domain_errors_exit_2
+@_library_errors
 def cmd_mode_value(k, nu_text, grid_text, log_spaced, fmt, output, precision):
     """Density value at the mode, for one nu or along a grid."""
     if nu_text is not None and grid_text is not None:
@@ -205,7 +205,7 @@ def cmd_mode_value(k, nu_text, grid_text, log_spaced, fmt, output, precision):
 @click.option("--nu", "nu_text", default="all", help='Degrees of freedom, or "all" for 1, 2, 10, inf.')
 @click.option("--axis-range", "axis_range", default="-5:5:401", help="a:b:n points along the first axis.")
 @_output_options
-@_domain_errors_exit_2
+@_library_errors
 def cmd_density_profile(k, nu_text, axis_range, fmt, output, precision):
     """Density along the first coordinate axis: rows of (nu, t, density)."""
     lo, hi, n = _parse_range(axis_range, "axis range", "a:b:n")
@@ -228,7 +228,7 @@ def cmd_density_profile(k, nu_text, axis_range, fmt, output, precision):
 @click.option("--n-mc", "n_mc", default=None, type=int, help="Add Monte Carlo columns with this many draws per row.")
 @click.option("--seed", default=0, type=int, help="Seed for the Monte Carlo columns.")
 @_output_options
-@_domain_errors_exit_2
+@_library_errors
 @click.pass_context
 def cmd_table1(ctx, n_mc, seed, fmt, output, precision):
     """Published 4x4 ball-probability table at radius 0.1.
@@ -283,7 +283,7 @@ _EXPECTED_CLASS = {1: "increasing", 2: "constant"}
 @click.option("--grid", "grid_text", default=None, help="start:stop:count over degrees of freedom.")
 @click.option("--points", default=None, type=int, help="Points in the default grid.")
 @_output_options
-@_domain_errors_exit_2
+@_library_errors
 @click.pass_context
 def cmd_verify(ctx, k_max, grid_text, points, fmt, output, precision):
     """Check the mode-value monotonicity pattern across dimensions.
@@ -356,7 +356,7 @@ def cmd_verify(ctx, k_max, grid_text, points, fmt, output, precision):
 @click.option("--k", required=True, type=int, help="Dimension for the headline row.")
 @click.option("--m", required=True, type=float, help="Moment order.")
 @_output_options
-@_domain_errors_exit_2
+@_library_errors
 def cmd_moments(nu1_text, nu2_text, k, m, fmt, output, precision):
     """Radial-moment ratio with a dimension-independence sweep.
 
@@ -383,7 +383,7 @@ def cmd_moments(nu1_text, nu2_text, k, m, fmt, output, precision):
 @click.option("--seed", default=0, type=int, help="Stream seed; same seed, same draws.")
 @click.option("--radius", "radii", multiple=True, type=float, help="Ball radius (repeatable; default 0.1).")
 @_output_options
-@_domain_errors_exit_2
+@_library_errors
 def cmd_sample(nu_text, k, n, seed, radii, fmt, output, precision):
     """Monte Carlo ball-probability estimates against the closed form.
 

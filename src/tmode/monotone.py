@@ -200,12 +200,7 @@ def classify_monotonicity(
             witnesses=witnesses,
         )
 
-    return MonotonicityReport(
-        k=k,
-        classification=classification,
-        max_derivative_residual=max_residual,
-        grid=vals,
-    )
+    return MonotonicityReport(k=k, classification=classification, max_derivative_residual=max_residual, grid=vals)
 
 
 def induction_step_check(nu, k: int) -> tuple[float, float]:

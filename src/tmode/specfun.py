@@ -113,9 +113,7 @@ def log_gamma_ratio(a: float, s: float) -> float:
         if a < _MAX_STEPS:
             return math.lgamma(a + s) - math.lgamma(a) - s * math.log(a)
         return (a + s - 0.5) * math.log1p(s / a) - s - s / (12.0 * a * (a + s))
-    parts = []
-    for j in range(0 if f else 1, whole):
-        parts.append(math.log1p((f + j) / a))
+    parts = [math.log1p((f + j) / a) for j in range(0 if f else 1, whole)]
     if f:
         if a < _RATIO_SERIES_MIN:
             parts.append(math.lgamma(a + f) - math.lgamma(a) - f * math.log(a))
@@ -250,29 +248,32 @@ def _upper_gamma_steps(a: float, b: float):
         yield ((-i * (i - a), b),)
 
 
-def reg_inc_beta(a: float, b: float, x: float, y: float | None = None) -> float:
+def reg_inc_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1].
 
-    y is 1 - x; a caller that can form it without cancellation passes it,
-    so that neither tail is computed from a rounded 1 - x. Uses the
-    continued fraction directly when x < (a+1)/(a+b+2) and the complement
-    identity I_x(a,b) = 1 - I_y(b,a) otherwise, so the fraction always
-    runs in its fast-convergence region. The front factor
-    x^a y^b Gamma(a+b) / (Gamma(a) Gamma(b)) takes its Gamma quotient from
-    log_gamma_ratio and each logarithm from the smaller of x and y.
+    Uses the continued fraction directly when x < (a+1)/(a+b+2) and the
+    complement identity I_x(a,b) = 1 - I_(1-x)(b,a) otherwise, so the
+    fraction always runs in its fast-convergence region. The front factor
+    x^a (1-x)^b Gamma(a+b) / (Gamma(a) Gamma(b)) takes its Gamma quotient
+    from log_gamma_ratio and each logarithm from the smaller of x and 1 - x.
     """
     a = _require_positive(a, "a")
     b = _require_positive(b, "b")
     x = float(x)
-    y = 1.0 - x if y is None else float(y)
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise DomainError(f"x and 1 - x must lie in [0, 1], got {x!r} and {y!r}")
-    if x == 0.0:
-        return 0.0
-    if y == 0.0:
-        return 1.0
-    if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - reg_inc_beta(b, a, y, x)
+    if math.isnan(x) or x < 0.0 or x > 1.0:
+        raise DomainError(f"x must lie in [0, 1], got {x!r}")
+    return _reg_inc_beta(a, b, x, 1.0 - x)
+
+
+def _reg_inc_beta(a: float, b: float, x: float, y: float) -> float:
+    # I_x(a, b) for checked a, b and y = 1 - x, which ball_prob forms without
+    # cancellation. The side is chosen once, as x and y may both pass their
+    # switch points when each is an ulp above 1 - the other.
+    if x == 0.0 or y == 0.0:
+        return 0.0 if x == 0.0 else 1.0
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x, y = b, a, y, x
     if x <= y:
         log_x, log_y = math.log(x), math.log1p(-x)
     else:
@@ -283,9 +284,11 @@ def reg_inc_beta(a: float, b: float, x: float, y: float | None = None) -> float:
         p, q, rest = b, a, a * (math.log(b) + log_x) + b * log_y - math.lgamma(a)
     # Q(p, q) < q log1p(q/p), so below this bound the front factor is 0.0
     if rest + q * math.log1p(q / p) < -750.0:
-        return 0.0
-    front = math.exp(log_gamma_ratio(p, q) + rest)
-    return front * _lentz(1.0 - (a + b) * x / (a + 1.0), 1.0, _beta_steps(a, b, x)) / a
+        value = 0.0
+    else:
+        front = math.exp(log_gamma_ratio(p, q) + rest)
+        value = front * _lentz(1.0 - (a + b) * x / (a + 1.0), 1.0, _beta_steps(a, b, x)) / a
+    return 1.0 - value if flip else value
 
 
 def _lower_gamma_series(a: float, x: float, front: float) -> float:

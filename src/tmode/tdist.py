@@ -183,9 +183,7 @@ def kurtosis_ratio(nu1, nu2, k: int) -> float:
     check_dim(k)
     for nu in (nu1, nu2):
         if not math.isinf(nu) and nu <= 4.0:
-            raise MomentExistenceError(
-                f"kurtosis comparison needs nu > 4, got nu={nu}"
-            )
+            raise MomentExistenceError(f"kurtosis comparison needs nu > 4, got nu={nu}")
 
     def excess(nu: float) -> float:
         return 1.0 if math.isinf(nu) else (nu - 2.0) / (nu - 4.0)

@@ -42,9 +42,26 @@ class TestClosedForm:
             )
 
     def test_huge_nu_matches_gaussian(self):
-        # at nu = 1e300 the F law is the chi-square law to double precision
+        # at nu = 1e300 the F law is the chi-square law to double precision;
+        # r = 5 is left out: near probability 1 the complement's continued
+        # fraction does not converge at this nu (a known defect)
         for r in RADII[:-1]:
             assert abs(ballprob.ball_prob(1e300, 2, r) + math.expm1(-0.5 * r * r)) <= 1e-12
+
+    def test_both_arguments_round_up(self):
+        # r^2 + nu rounds down, so x = r^2/(r^2 + nu) and 1 - x = nu/(r^2 + nu)
+        # both round up and both pass their switch points of the incomplete beta
+        r = 1.1547005383792515
+        assert r * r == 4.0 / 3.0
+        # nu = 1, k = 2: P = 1 - sqrt(1 - x)
+        assert ballprob.ball_prob(1.0, 2, r) == pytest.approx(1.0 - math.sqrt(3.0 / 7.0), rel=1e-13)
+
+    def test_overflowing_sum_is_domain_error(self):
+        # r^2 + nu is not representable; there is no x to pass on
+        with pytest.raises(errors.DomainError):
+            ballprob.ball_prob(1e-3, 1, 1e200)
+        with pytest.raises(errors.DomainError):
+            ballprob.ball_prob(1e308, 2, 1.2e154)
 
     def test_at_zero_radius(self):
         for nu in (1.0, 3.5, math.inf):

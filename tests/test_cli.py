@@ -289,6 +289,16 @@ class TestSample:
         result = runner.invoke(cli.main, ["sample", "--nu", "3", "--k", "2", "--n", "10", "--seed", "0", "--radius", "-1"])
         assert result.exit_code == 2
 
+    def test_nonconvergence_is_one_line_error(self, runner):
+        # ball_prob(1e300, 2, 5) runs out of continued-fraction iterations
+        result = runner.invoke(
+            cli.main, ["sample", "--nu", "1e300", "--k", "2", "--n", "100", "--seed", "0", "--radius", "5"]
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: continued fraction not converged")
+        assert result.output.count("\n") == 1
+        assert "Traceback" not in result.output
+
 
 class TestGrids:
     @given(
