@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,3 +334,30 @@ class TestFormatting:
     def test_unknown_command_rejected(self, runner):
         result = runner.invoke(cli.main, ["frobnicate"])
         assert result.exit_code == 2
+
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+
+
+def _capture(args: list[str]) -> dict:
+    result = CliRunner().invoke(cli.main, args)
+    return {"args": args, "exit_code": result.exit_code, "stdout": result.stdout, "stderr": result.stderr}
+
+
+class TestGolden:
+    """Recorded stdout, stderr and exit code of a fixed command set.
+
+    Rewrite the file after an intended output change with
+    `PYTHONPATH=src python tests/test_cli.py`.
+    """
+
+    @pytest.mark.parametrize(
+        "case", json.loads(GOLDEN.read_text(encoding="utf-8")), ids=lambda case: " ".join(case["args"])
+    )
+    def test_replay(self, case):
+        assert _capture(case["args"]) == case
+
+
+if __name__ == "__main__":
+    cases = [_capture(case["args"]) for case in json.loads(GOLDEN.read_text(encoding="utf-8"))]
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
