@@ -25,13 +25,7 @@ import sys
 import click
 
 from . import __version__, ballprob, monotone, tdist
-from .errors import (
-    ConvergenceError,
-    DimensionMismatchError,
-    DomainError,
-    MomentExistenceError,
-    MonotonicityViolationError,
-)
+from .errors import ConvergenceError, DimensionMismatchError, DomainError, MomentExistenceError
 
 SCHEMA_VERSION = "1"
 
@@ -141,33 +135,39 @@ def _parse_grid(text: str, log: bool) -> list[float]:
     return (_geomspace if log else _linspace)(start, stop, count)
 
 
-def _library_errors(fn):
-    """One-line library errors: domain violations exit 2 as usage errors, non-convergence exits 1."""
+def _table(fn):
+    """Turn fn, which maps a command's own options to (header, rows,
+    problems), into a command body with the shared output options.
+
+    The body emits the table under the command's name, writes each problem
+    to stderr, and exits 1 if there is any. A library domain error exits
+    2 and non-convergence exits 1, each as a one-line message.
+    """
 
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def command(fmt, output, precision, **options):
         try:
-            return fn(*args, **kwargs)
+            header, rows, problems = fn(**options)
         except _DOMAIN_ERRORS as exc:
             raise click.UsageError(str(exc)) from exc
         except ConvergenceError as exc:
             raise click.ClickException(str(exc)) from exc
+        emit(fmt, output, click.get_current_context().command.name, header, rows, precision)
+        for line in problems:
+            click.echo(line, err=True)
+        if problems:
+            raise click.exceptions.Exit(1)
 
-    return wrapper
-
-
-def _output_options(fn):
-    fn = click.option(
+    command = click.option(
         "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", help="Output format."
-    )(fn)
-    fn = click.option("--output", default="-", help="Output path, - for stdout.")(fn)
-    fn = click.option(
+    )(command)
+    command = click.option("--output", default="-", help="Output path, - for stdout.")(command)
+    return click.option(
         "--precision",
         type=click.Choice(["sig6", "full"]),
         default="sig6",
         help="sig6 prints 6 significant digits; full prints shortest round-trip.",
-    )(fn)
-    return fn
+    )(command)
 
 
 @click.group()
@@ -182,9 +182,8 @@ def main():
 @click.option("--nu", "nu_text", default=None, help='Single degrees of freedom ("inf" allowed).')
 @click.option("--grid", "grid_text", default=None, help="start:stop:count over degrees of freedom.")
 @click.option("--log", "log_spaced", is_flag=True, help="Log-space the grid.")
-@_output_options
-@_library_errors
-def cmd_mode_value(k, nu_text, grid_text, log_spaced, fmt, output, precision):
+@_table
+def cmd_mode_value(k, nu_text, grid_text, log_spaced):
     """Density value at the mode, for one nu or along a grid."""
     if nu_text is not None and grid_text is not None:
         raise click.UsageError("give either --nu or --grid, not both")
@@ -196,17 +195,15 @@ def cmd_mode_value(k, nu_text, grid_text, log_spaced, fmt, output, precision):
         nus = _parse_grid(grid_text, log_spaced)
     else:
         nus = _geomspace(*DEFAULT_FIGURE_GRID)
-    rows = [[float(nu), tdist.mode_value(nu, k)] for nu in nus]
-    emit(fmt, output, "mode-value", ["nu", "mode_value"], rows, precision)
+    return ["nu", "mode_value"], [[float(nu), tdist.mode_value(nu, k)] for nu in nus], []
 
 
 @main.command("density-profile")
 @click.option("--k", required=True, type=int, help="Dimension.")
 @click.option("--nu", "nu_text", default="all", help='Degrees of freedom, or "all" for 1, 2, 10, inf.')
 @click.option("--axis-range", "axis_range", default="-5:5:401", help="a:b:n points along the first axis.")
-@_output_options
-@_library_errors
-def cmd_density_profile(k, nu_text, axis_range, fmt, output, precision):
+@_table
+def cmd_density_profile(k, nu_text, axis_range):
     """Density along the first coordinate axis: rows of (nu, t, density)."""
     lo, hi, n = _parse_range(axis_range, "axis range", "a:b:n")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi) or n < 2:
@@ -221,16 +218,14 @@ def cmd_density_profile(k, nu_text, axis_range, fmt, output, precision):
         for t in ts:
             point = [t] + [0.0] * (k - 1)
             rows.append([float(nu), t, math.exp(tdist.log_density(nu, k, point))])
-    emit(fmt, output, "density-profile", ["nu", "t", "density"], rows, precision)
+    return ["nu", "t", "density"], rows, []
 
 
 @main.command("table1")
 @click.option("--n-mc", "n_mc", default=None, type=int, help="Add Monte Carlo columns with this many draws per row.")
 @click.option("--seed", default=0, type=int, help="Seed for the Monte Carlo columns.")
-@_output_options
-@_library_errors
-@click.pass_context
-def cmd_table1(ctx, n_mc, seed, fmt, output, precision):
+@_table
+def cmd_table1(n_mc, seed):
     """Published 4x4 ball-probability table at radius 0.1.
 
     Exit code 0 exactly when every analytic entry matches the published
@@ -258,34 +253,22 @@ def cmd_table1(ctx, n_mc, seed, fmt, output, precision):
             published = ballprob.TABLE1_PRINTED[row.nu][j]
             match = ballprob.format_published(analytic, k) == published
             if not match:
-                mismatches.append((row.nu, k, analytic, published))
+                mismatches.append(f"mismatch at nu={row.nu}, k={k}: computed {analytic!r} vs published {published}")
             out_row = [float(row.nu), k, analytic, published, match]
             if estimates is not None:
                 est, _ = estimates[j]
                 se_analytic = math.sqrt(analytic * (1.0 - analytic) / n_mc)
                 out_row += [est, se_analytic, abs(est - analytic) <= 4.0 * se_analytic]
             rows.append(out_row)
-    emit(fmt, output, "table1", header, rows, precision)
-    if mismatches:
-        for nu, k, analytic, published in mismatches:
-            click.echo(
-                f"mismatch at nu={nu}, k={k}: computed {analytic!r} vs published {published}",
-                err=True,
-            )
-        ctx.exit(1)
-
-
-_EXPECTED_CLASS = {1: "increasing", 2: "constant"}
+    return header, rows, mismatches
 
 
 @main.command("verify")
 @click.option("--k-max", "k_max", required=True, type=int, help="Verify dimensions 1..K (K >= 3).")
 @click.option("--grid", "grid_text", default=None, help="start:stop:count over degrees of freedom.")
 @click.option("--points", default=None, type=int, help="Points in the default grid.")
-@_output_options
-@_library_errors
-@click.pass_context
-def cmd_verify(ctx, k_max, grid_text, points, fmt, output, precision):
+@_table
+def cmd_verify(k_max, grid_text, points):
     """Check the mode-value monotonicity pattern across dimensions.
 
     For each k up to K: classify the sign of the nu-derivative on a grid,
@@ -295,59 +278,18 @@ def cmd_verify(ctx, k_max, grid_text, points, fmt, output, precision):
     """
     if k_max < 3:
         raise click.UsageError(f"--k-max must be at least 3 to cover all three regimes, got {k_max}")
+    if grid_text is not None and points is not None:
+        raise click.UsageError("give either --grid or --points, not both")
     if grid_text is not None:
         grid = _parse_grid(grid_text, log=True)
     else:
-        lo, hi = monotone.DEFAULT_GRID_RANGE
-        grid = monotone.default_nu_grid(lo, hi, points or monotone.DEFAULT_GRID_POINTS)
-    header = ["k", "expected", "classification", "max_fd_residual", "aux_check", "ok"]
-    rows = []
-    failures = []
+        grid = monotone.default_nu_grid(points=monotone.DEFAULT_GRID_POINTS if points is None else points)
+    rows, problems = [], []
     for k in range(1, k_max + 1):
-        expected = _EXPECTED_CLASS.get(k, "decreasing")
-        try:
-            report = monotone.classify_monotonicity(k, grid=grid)
-        except MonotonicityViolationError as exc:
-            failures.append(f"k={k}: {exc}")
-            rows.append([k, expected, "violated", math.nan, "-", False])
-            continue
-        if k % 2 == 0:
-            rel = max(
-                abs(tdist.mode_value(nu, k) - monotone.mode_value_even_product(nu, k))
-                / tdist.mode_value(nu, k)
-                for nu in grid
-            )
-            aux = f"product rel {rel:.2e}"
-            aux_ok = rel <= 1e-12
-        elif k >= 3:
-            aux_ok = True
-            try:
-                for nu in grid:
-                    monotone.induction_step_check(nu, k)
-            except MonotonicityViolationError as exc:
-                aux_ok = False
-                failures.append(f"k={k}: {exc}")
-            aux = "induction"
-        else:
-            aux, aux_ok = "-", True
-        fd_ok = report.max_derivative_residual <= 1e-5
-        ok = (report.classification == expected) and aux_ok and fd_ok
-        if report.classification != expected:
-            failures.append(
-                f"k={k}: classified {report.classification}, expected {expected}"
-            )
-        if not fd_ok:
-            failures.append(
-                f"k={k}: finite-difference residual {report.max_derivative_residual:.2e} exceeds 1e-5"
-            )
-        if k % 2 == 0 and not aux_ok:
-            failures.append(f"k={k}: product-form disagreement {aux}")
-        rows.append([k, expected, report.classification, report.max_derivative_residual, aux, ok])
-    emit(fmt, output, "verify", header, rows, precision)
-    if failures:
-        for line in failures:
-            click.echo(f"violation: {line}", err=True)
-        ctx.exit(1)
+        row, failures = monotone.verify_dimension(k, grid)
+        rows.append(row)
+        problems += [f"violation: {line}" for line in failures]
+    return list(monotone.VERIFY_COLUMNS), rows, problems
 
 
 @main.command("moments")
@@ -355,9 +297,8 @@ def cmd_verify(ctx, k_max, grid_text, points, fmt, output, precision):
 @click.option("--nu2", "nu2_text", required=True, help="Second degrees of freedom.")
 @click.option("--k", required=True, type=int, help="Dimension for the headline row.")
 @click.option("--m", required=True, type=float, help="Moment order.")
-@_output_options
-@_library_errors
-def cmd_moments(nu1_text, nu2_text, k, m, fmt, output, precision):
+@_table
+def cmd_moments(nu1_text, nu2_text, k, m):
     """Radial-moment ratio with a dimension-independence sweep.
 
     Emits the requested dimension plus k = 1..10; the moment_ratio column
@@ -373,7 +314,7 @@ def cmd_moments(nu1_text, nu2_text, k, m, fmt, output, precision):
         ratio = tdist.moment_ratio(nu1, nu2, dim, m)
         kurt = tdist.kurtosis_ratio(nu1, nu2, dim) if have_kurtosis else None
         rows.append([dim, ratio, kurt])
-    emit(fmt, output, "moments", ["k", "moment_ratio", "kurtosis_ratio"], rows, precision)
+    return ["k", "moment_ratio", "kurtosis_ratio"], rows, []
 
 
 @main.command("sample")
@@ -382,9 +323,8 @@ def cmd_moments(nu1_text, nu2_text, k, m, fmt, output, precision):
 @click.option("--n", default=100000, type=int, help="Number of draws.")
 @click.option("--seed", default=0, type=int, help="Stream seed; same seed, same draws.")
 @click.option("--radius", "radii", multiple=True, type=float, help="Ball radius (repeatable; default 0.1).")
-@_output_options
-@_library_errors
-def cmd_sample(nu_text, k, n, seed, radii, fmt, output, precision):
+@_table
+def cmd_sample(nu_text, k, n, seed, radii):
     """Monte Carlo ball-probability estimates against the closed form.
 
     The z column is (estimate - analytic) over the binomial standard
@@ -404,14 +344,7 @@ def cmd_sample(nu_text, k, n, seed, radii, fmt, output, precision):
         else:
             z = 0.0 if est == analytic else math.inf
         rows.append([float(nu), k, n, seed, float(r), est, se, analytic, z])
-    emit(
-        fmt,
-        output,
-        "sample",
-        ["nu", "k", "n", "seed", "radius", "estimate", "std_error", "analytic", "z"],
-        rows,
-        precision,
-    )
+    return ["nu", "k", "n", "seed", "radius", "estimate", "std_error", "analytic", "z"], rows, []
 
 
 if __name__ == "__main__":

@@ -39,6 +39,10 @@ __all__ = [
     "MonotonicityReport",
     "classify_monotonicity",
     "induction_step_check",
+    "FD_RESIDUAL_BOUND",
+    "PRODUCT_RTOL",
+    "VERIFY_COLUMNS",
+    "verify_dimension",
 ]
 
 DEFAULT_GRID_RANGE = (0.01, 1e4)
@@ -52,6 +56,12 @@ FD_STEP_SCALE = 1e-6
 FD_RESIDUAL_FLOOR = 1e-8
 # slack allowed when checking the induction chain inequality
 INDUCTION_SLACK = 1e-12
+# verify_dimension's bounds: the worst finite-difference residual, and the
+# worst relative gap between mode_value and the even-k product form
+FD_RESIDUAL_BOUND = 1e-5
+PRODUCT_RTOL = 1e-12
+# the fields of verify_dimension's row
+VERIFY_COLUMNS = ("k", "expected", "classification", "max_fd_residual", "aux_check", "ok")
 
 # consecutive mode values are compared directly only where they cannot
 # underflow into ties; above this the derivative signs carry the claim
@@ -229,3 +239,45 @@ def induction_step_check(nu, k: int) -> tuple[float, float]:
             witnesses=[(nu, lhs_next - lhs_k)],
         )
     return lhs_next, lhs_k
+
+
+def verify_dimension(k: int, grid: Sequence[float]) -> tuple[list, list[str]]:
+    """Check the proven pattern for one dimension along a tail-weight grid.
+
+    Returns a row with the fields VERIFY_COLUMNS and the failures found,
+    one line each starting "k=<k>: "; ok is true exactly when there are
+    none. Three checks: the classification is the proven one (increasing
+    for k = 1, constant for k = 2, decreasing from k = 3 on), the
+    finite-difference residual is at most FD_RESIDUAL_BOUND, and an
+    independent route agrees (the product form within PRODUCT_RTOL for
+    even k, the induction step at every grid point for odd k >= 3). A
+    mixed sign pattern gives the row (k, expected, "violated", nan, "-",
+    False).
+    """
+    k = check_dim(k)
+    expected = {1: "increasing", 2: "constant"}.get(k, "decreasing")
+    try:
+        report = classify_monotonicity(k, grid=grid)
+    except MonotonicityViolationError as exc:
+        return [k, expected, "violated", math.nan, "-", False], [f"k={k}: {exc}"]
+    failures = []
+    aux = "-"
+    if k % 2 == 0:
+        pairs = [(mode_value(nu, k), mode_value_even_product(nu, k)) for nu in report.grid]
+        rel = max(abs(c - product) / c for c, product in pairs)
+        aux = f"product rel {rel:.2e}"
+    elif k >= 3:
+        aux = "induction"
+        try:
+            for nu in report.grid:
+                induction_step_check(nu, k)
+        except MonotonicityViolationError as exc:
+            failures.append(f"k={k}: {exc}")
+    residual = report.max_derivative_residual
+    if report.classification != expected:
+        failures.append(f"k={k}: classified {report.classification}, expected {expected}")
+    if not residual <= FD_RESIDUAL_BOUND:
+        failures.append(f"k={k}: finite-difference residual {residual:.2e} exceeds 1e-5")
+    if k % 2 == 0 and not rel <= PRODUCT_RTOL:
+        failures.append(f"k={k}: product-form disagreement {aux}")
+    return [k, expected, report.classification, residual, aux, not failures], failures

@@ -113,7 +113,12 @@ def log_gamma_ratio(a: float, s: float) -> float:
         if a < _MAX_STEPS:
             return math.lgamma(a + s) - math.lgamma(a) - s * math.log(a)
         return (a + s - 0.5) * math.log1p(s / a) - s - s / (12.0 * a * (a + s))
-    parts = [math.log1p((f + j) / a) for j in range(0 if f else 1, whole)]
+    steps = range(0 if f else 1, whole)
+    if (f + whole) / a < math.inf:
+        parts = [math.log1p((f + j) / a) for j in steps]
+    else:
+        # subnormal a: a quotient overflows although its logarithm does not
+        parts = [math.log1p(q) if (q := (f + j) / a) < math.inf else math.log(f + j) - math.log(a) for j in steps]
     if f:
         if a < _RATIO_SERIES_MIN:
             parts.append(math.lgamma(a + f) - math.lgamma(a) - f * math.log(a))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: schemas, determinism and the exit-code contract."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,7 +13,8 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tmode import cli, tdist
+from tmode import ballprob, cli, monotone, tdist
+from tmode.errors import MonotonicityViolationError
 
 
 @pytest.fixture
@@ -95,6 +97,8 @@ class TestModeValue:
             ["mode-value", "--k", "1", "--nu", "spam"],
             ["mode-value", "--k", "1", "--grid", "1:2:3:4"],
             ["mode-value", "--k", "1", "--grid", "1:5:2.5"],
+            ["verify", "--k-max", "3", "--points", "0"],
+            ["verify", "--k-max", "3", "--grid", "0.1:10:5", "--points", "7"],
         ],
     )
     def test_usage_errors(self, runner, args):
@@ -199,6 +203,38 @@ class TestVerify:
             "constant",
             "decreasing",
         ]
+
+
+def _broken_induction(nu, k):
+    raise MonotonicityViolationError(f"induction chain increased at nu={nu}, k={k}", witnesses=[(nu, 1.0)])
+
+
+class TestExitOne:
+    """A failed check still prints the table, then one stderr line per problem, and exits 1."""
+
+    @pytest.mark.parametrize(
+        "module, name, fake, args, first_problem",
+        [
+            (monotone, "_derivative_sum", lambda nu, k: 1.0 if nu < 1.0 else -1.0, ["verify", "--k-max", "3", "--points", "10"], "violation: k=1: mixed"),
+            (monotone, "mode_value_even_product", lambda nu, k: 1.0, ["verify", "--k-max", "4", "--points", "10"], "violation: k=2: product-form"),
+            (monotone, "induction_step_check", _broken_induction, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: induction"),
+            (ballprob, "format_published", lambda value, k: "0", ["table1"], "mismatch at nu=1.0, k=1:"),
+        ],
+        ids=["mixed-signs", "product", "induction", "table1"],
+    )
+    def test_problem_exits_1(self, runner, monkeypatch, module, name, fake, args, first_problem):
+        monkeypatch.setattr(module, name, fake)
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 1
+        header, rows = parse_csv(result.stdout)
+        assert header[-1] in ("ok", "match")
+        lines = result.stderr.splitlines()
+        assert len(lines) == sum(r[-1] == "false" for r in rows) > 0
+        assert lines[0].startswith(first_problem)
+        assert all(line.startswith(("violation: ", "mismatch at ")) for line in lines)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main.main(args, prog_name="tmode", standalone_mode=False) == 1
+        assert out.getvalue() == result.stdout
 
 
 class TestMoments:

@@ -175,3 +175,37 @@ class TestInductionStep:
             monotone.induction_step_check(2.0, 1)
         with pytest.raises(errors.DomainError):
             monotone.induction_step_check(math.inf, 3)
+
+
+class TestVerifyDimension:
+    GRID = monotone.default_nu_grid(0.1, 100.0, 12)
+
+    @pytest.mark.parametrize(
+        "k, expected, aux",
+        [(1, "increasing", "-"), (2, "constant", "product rel"), (3, "decreasing", "induction"), (4, "decreasing", "product rel")],
+    )
+    def test_ok_rows(self, k, expected, aux):
+        row, failures = monotone.verify_dimension(k, self.GRID)
+        assert failures == []
+        assert len(row) == len(monotone.VERIFY_COLUMNS)
+        assert row[:3] == [k, expected, expected]
+        assert row[3] <= monotone.FD_RESIDUAL_BOUND
+        assert row[4].startswith(aux)
+        assert row[5] is True
+
+    def test_mixed_signs_give_violated_row(self, monkeypatch):
+        monkeypatch.setattr(monotone, "_derivative_sum", lambda nu, k: 1.0 if nu < 1.0 else -1.0)
+        row, failures = monotone.verify_dimension(3, self.GRID)
+        assert row[:3] == [3, "decreasing", "violated"]
+        assert math.isnan(row[3])
+        assert row[4:] == ["-", False]
+        assert failures == ["k=3: mixed derivative signs for k=3; the classification is ill-defined"]
+
+    def test_product_disagreement_fails(self, monkeypatch):
+        even_product = monotone.mode_value_even_product
+        monkeypatch.setattr(monotone, "mode_value_even_product", lambda nu, k: even_product(nu, k) * (1.0 + 1e-9))
+        row, failures = monotone.verify_dimension(4, self.GRID)
+        assert row[2] == "decreasing"
+        assert row[4] == "product rel 1.00e-09"
+        assert row[5] is False
+        assert failures == ["k=4: product-form disagreement product rel 1.00e-09"]

@@ -143,6 +143,14 @@ class TestModeValue:
 
     def test_tiny_nu_is_finite(self):
         assert math.isfinite(tdist.log_mode_value(1e-300, 3))
+        # subnormal nu/2: the quotients (f + j)/a overflow; references are 60-digit mpmath
+        for nu, k, want in (
+            (1e-320, 4, 733.84463393871516049),
+            (1e-320, 3, 365.88259619851766228),
+            (1e-306, 500, 176284.81672781839757),
+            (1e-310, 500, 178578.19148044046784),
+        ):
+            assert tdist.log_mode_value(nu, k) == pytest.approx(want, rel=1e-15)
 
     def test_log_consistency(self):
         for nu, k, want in MODE_VALUE_REFS:
