@@ -57,8 +57,10 @@ FD_RESIDUAL_FLOOR = 1e-8
 # slack allowed when checking the induction chain inequality
 INDUCTION_SLACK = 1e-12
 # verify_dimension's bounds: the worst finite-difference residual, and the
-# worst relative gap between mode_value and the even-k product form
-FD_RESIDUAL_BOUND = 1e-5
+# worst relative gap between mode_value and the even-k product form; the
+# residual bound is kept as text too, as failure messages print it
+_FD_BOUND_TEXT = "1e-5"
+FD_RESIDUAL_BOUND = float(_FD_BOUND_TEXT)
 PRODUCT_RTOL = 1e-12
 # the fields of verify_dimension's row
 VERIFY_COLUMNS = ("k", "expected", "classification", "max_fd_residual", "aux_check", "ok")
@@ -277,7 +279,7 @@ def verify_dimension(k: int, grid: Sequence[float]) -> tuple[list, list[str]]:
     if report.classification != expected:
         failures.append(f"k={k}: classified {report.classification}, expected {expected}")
     if not residual <= FD_RESIDUAL_BOUND:
-        failures.append(f"k={k}: finite-difference residual {residual:.2e} exceeds 1e-5")
+        failures.append(f"k={k}: finite-difference residual {residual:.2e} exceeds {_FD_BOUND_TEXT}")
     if k % 2 == 0 and not rel <= PRODUCT_RTOL:
         failures.append(f"k={k}: product-form disagreement {aux}")
     return [k, expected, report.classification, residual, aux, not failures], failures

@@ -107,18 +107,14 @@ def log_gamma_ratio(a: float, s: float) -> float:
         return -s * math.log1p(-s / b) - log_gamma_ratio(b, -s)
     whole = int(s)
     f = s - whole
-    if whole > _MAX_STEPS:
-        # s > a leaves the direct difference nothing to cancel; for larger a,
-        # Stirling's series needs only its 1/(12 z) term
+    if whole > _MAX_STEPS or (f + whole) / a == math.inf:
+        # s > a (or a subnormal a, whose s ln a dwarfs ln Gamma(a)) leaves the
+        # direct difference nothing to cancel; for larger a, Stirling's series
+        # needs only its 1/(12 z) term
         if a < _MAX_STEPS:
             return math.lgamma(a + s) - math.lgamma(a) - s * math.log(a)
         return (a + s - 0.5) * math.log1p(s / a) - s - s / (12.0 * a * (a + s))
-    steps = range(0 if f else 1, whole)
-    if (f + whole) / a < math.inf:
-        parts = [math.log1p((f + j) / a) for j in steps]
-    else:
-        # subnormal a: a quotient overflows although its logarithm does not
-        parts = [math.log1p(q) if (q := (f + j) / a) < math.inf else math.log(f + j) - math.log(a) for j in steps]
+    parts = [math.log1p((f + j) / a) for j in range(0 if f else 1, whole)]
     if f:
         if a < _RATIO_SERIES_MIN:
             parts.append(math.lgamma(a + f) - math.lgamma(a) - f * math.log(a))
