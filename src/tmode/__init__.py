@@ -11,7 +11,6 @@ import importlib
 
 from .ballprob import (
     QuadResult,
-    QuadSpec,
     Table1Row,
     ball_prob,
     ball_prob_quadrature,
@@ -58,7 +57,6 @@ __all__ = [
     "MonotonicityReport",
     "MonotonicityViolationError",
     "QuadResult",
-    "QuadSpec",
     "QuadratureConvergenceError",
     "SampleBatch",
     "SplitMix64",

@@ -15,7 +15,6 @@ dimensions 3 and 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureConvergenceError
@@ -23,7 +22,9 @@ from .specfun import _reg_inc_beta, log_gamma, reg_lower_inc_gamma
 from .tdist import check_dim, check_dof, log_mode_value
 
 __all__ = [
-    "QuadSpec",
+    "QUAD_ABS_TOL",
+    "QUAD_REL_TOL",
+    "QUAD_MAX_DEPTH",
     "QuadResult",
     "ball_prob",
     "ball_prob_quadrature",
@@ -38,19 +39,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Adaptive quadrature controls."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-12
-    max_depth: int = 60
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_depth < 0:
-            raise DomainError("max_depth must be >= 0")
+# adaptive Simpson's tolerance is max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|)
+QUAD_ABS_TOL = 1e-10
+QUAD_REL_TOL = 1e-12
+QUAD_MAX_DEPTH = 60
 
 
 class QuadResult(NamedTuple):
@@ -117,35 +109,33 @@ def _simpson_recurse(
     return lv + rv, le + re, lok and rok
 
 
-def _adaptive_simpson(f, a: float, b: float, spec: QuadSpec) -> QuadResult:
+def _adaptive_simpson(f, a: float, b: float) -> QuadResult:
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(whole))
-    value, err, ok = _simpson_recurse(f, a, fa, m, fm, b, fb, whole, tol, spec.max_depth)
+    tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(whole))
+    value, err, ok = _simpson_recurse(f, a, fa, m, fm, b, fb, whole, tol, QUAD_MAX_DEPTH)
     if not ok:
         raise QuadratureConvergenceError(
-            f"refinement depth {spec.max_depth} exhausted on [{a}, {b}]",
+            f"refinement depth {QUAD_MAX_DEPTH} exhausted on [{a}, {b}]",
             best_estimate=value,
             error_estimate=err,
         )
     return QuadResult(value, err)
 
 
-def ball_prob_quadrature(nu, k: int, r, spec: QuadSpec | None = None) -> QuadResult:
+def ball_prob_quadrature(nu, k: int, r) -> QuadResult:
     """P(|X| <= r) by integrating the radial density.
 
     Integrates  S(k) * s^(k-1) * f(s e1)  over [0, r], where S(k) is the
-    surface area of the unit (k-1)-sphere. Returns the value together
-    with the accumulated error estimate; raises
-    QuadratureConvergenceError (carrying the best estimate) if the
-    refinement depth runs out.
+    surface area of the unit (k-1)-sphere, to the fixed QUAD_* tolerances.
+    Returns the value with its error estimate; raises
+    QuadratureConvergenceError (carrying the best estimate) if
+    QUAD_MAX_DEPTH refinement levels run out.
     """
     nu = check_dof(nu)
     k = check_dim(k)
     r = _check_radius(r)
-    if spec is None:
-        spec = QuadSpec()
     if r == 0.0:
         return QuadResult(0.0, 0.0)
 
@@ -162,7 +152,7 @@ def ball_prob_quadrature(nu, k: int, r, spec: QuadSpec | None = None) -> QuadRes
             return math.exp(log_surface + log_f) if k == 1 else 0.0
         return math.exp(log_surface + (k - 1) * math.log(s) + log_f)
 
-    return _adaptive_simpson(integrand, 0.0, r, spec)
+    return _adaptive_simpson(integrand, 0.0, r)
 
 
 # ------------------------------------------------------------------ table 1
@@ -193,22 +183,11 @@ def format_published(value: float, k: int) -> str:
     return f"{value:.{TABLE1_DECIMALS[k - 1]}f}"
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     """One tail weight's row of ball probabilities for k = 1..4."""
 
     nu: float
-    probs: tuple[float, float, float, float] = field()
-
-    def __post_init__(self):
-        check_dof(self.nu)
-        if len(self.probs) != 4:
-            raise DomainError("a row holds exactly four probabilities")
-        for p in self.probs:
-            if not (0.0 <= p <= 1.0):
-                raise DomainError(f"probability out of range: {p!r}")
-        if not all(a > b for a, b in zip(self.probs, self.probs[1:])):
-            raise DomainError("ball probabilities must decrease in the dimension")
+    probs: tuple[float, float, float, float]
 
 
 def table1() -> list[Table1Row]:
@@ -216,5 +195,7 @@ def table1() -> list[Table1Row]:
     rows = []
     for nu in TABLE1_NU:
         probs = tuple(ball_prob(nu, k, TABLE1_RADIUS) for k in TABLE1_DIMS)
-        rows.append(Table1Row(nu=nu, probs=probs))
+        if not (probs[0] <= 1.0 and probs[-1] >= 0.0 and all(a > b for a, b in zip(probs, probs[1:]))):
+            raise DomainError(f"nu={nu} row is not probabilities decreasing in the dimension: {probs}")
+        rows.append(Table1Row(nu, probs))
     return rows

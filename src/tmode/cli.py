@@ -84,9 +84,13 @@ def emit(fmt: str, path: str, command: str, header: list[str], rows: list[list],
         text = json.dumps(obj, indent=2) + "\n"
     if path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --output {path!r}: {exc.strerror}") from None
+    with fh:
+        fh.write(text)
 
 
 def _parse_nu(text: str) -> float:

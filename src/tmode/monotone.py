@@ -19,8 +19,7 @@ that error firing means a numerical defect, not new mathematics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, MonotonicityViolationError
 from .specfun import digamma
@@ -29,7 +28,7 @@ from .tdist import check_dim, check_dof, log_mode_value, mode_value
 __all__ = [
     "DEFAULT_GRID_RANGE",
     "DEFAULT_GRID_POINTS",
-    "DEFAULT_ZERO_TOL",
+    "ZERO_TOL",
     "FD_STEP_SCALE",
     "FD_RESIDUAL_FLOOR",
     "INDUCTION_SLACK",
@@ -48,7 +47,7 @@ __all__ = [
 DEFAULT_GRID_RANGE = (0.01, 1e4)
 DEFAULT_GRID_POINTS = 200
 # |derivative| at or below this counts as zero when classifying signs
-DEFAULT_ZERO_TOL = 1e-12
+ZERO_TOL = 1e-12
 # central difference step is nu * FD_STEP_SCALE
 FD_STEP_SCALE = 1e-6
 # finite-difference residuals are measured relative to
@@ -119,14 +118,11 @@ def mode_value_even_product(nu, k: int) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     """Grid evidence for one dimension's classification."""
 
-    k: int
     classification: str  # "increasing" | "constant" | "decreasing"
     max_derivative_residual: float
-    grid: tuple[float, ...]
 
 
 def _validate_grid(grid: Sequence[float]) -> tuple[float, ...]:
@@ -141,23 +137,18 @@ def _validate_grid(grid: Sequence[float]) -> tuple[float, ...]:
     return vals
 
 
-def classify_monotonicity(
-    k: int,
-    grid: Sequence[float] | None = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> MonotonicityReport:
+def classify_monotonicity(k: int, grid: Sequence[float] | None = None) -> MonotonicityReport:
     """Classify the sign of d/dnu ln c(nu, k) over a tail-weight grid.
 
-    Returns a report carrying the classification, the grid, and the
-    worst discrepancy between the analytic derivative and a central
-    finite difference of the log mode value (step nu * 1e-6, measured
-    relative to max(1e-8, |derivative|)). Mixed derivative signs beyond
-    zero_tol raise MonotonicityViolationError listing the offending
+    The grid defaults to default_nu_grid(). Returns a report carrying the
+    classification and the worst discrepancy between the analytic
+    derivative and a central finite difference of the log mode value
+    (step nu * 1e-6, measured relative to max(1e-8, |derivative|)).
+    Derivatives within ZERO_TOL of 0 count as zero; mixed signs beyond
+    it raise MonotonicityViolationError listing the offending
     (nu, derivative) pairs; with correct numerics that never happens.
     """
     k = check_dim(k)
-    if zero_tol < 0.0 or math.isnan(zero_tol):
-        raise DomainError(f"zero_tol must be >= 0, got {zero_tol!r}")
     vals = default_nu_grid() if grid is None else _validate_grid(grid)
 
     derivs = []
@@ -166,9 +157,9 @@ def classify_monotonicity(
     for nu in vals:
         d = dlog_mode_value(nu, k)
         derivs.append(d)
-        if d > zero_tol:
+        if d > ZERO_TOL:
             signs.add(1)
-        elif d < -zero_tol:
+        elif d < -ZERO_TOL:
             signs.add(-1)
         else:
             signs.add(0)
@@ -185,7 +176,7 @@ def classify_monotonicity(
     elif -1 in signs and 1 not in signs:
         classification = "decreasing"
     else:
-        witnesses = [(nu, d) for nu, d in zip(vals, derivs) if abs(d) > zero_tol]
+        witnesses = [(nu, d) for nu, d in zip(vals, derivs) if abs(d) > ZERO_TOL]
         raise MonotonicityViolationError(
             f"mixed derivative signs for k={k}; the classification is ill-defined",
             witnesses=witnesses,
@@ -212,7 +203,7 @@ def classify_monotonicity(
             witnesses=witnesses,
         )
 
-    return MonotonicityReport(k=k, classification=classification, max_derivative_residual=max_residual, grid=vals)
+    return MonotonicityReport(classification, max_residual)
 
 
 def induction_step_check(nu, k: int) -> tuple[float, float]:
@@ -265,13 +256,13 @@ def verify_dimension(k: int, grid: Sequence[float]) -> tuple[list, list[str]]:
     failures = []
     aux = "-"
     if k % 2 == 0:
-        pairs = [(mode_value(nu, k), mode_value_even_product(nu, k)) for nu in report.grid]
+        pairs = [(mode_value(nu, k), mode_value_even_product(nu, k)) for nu in grid]
         rel = max(abs(c - product) / c for c, product in pairs)
         aux = f"product rel {rel:.2e}"
     elif k >= 3:
         aux = "induction"
         try:
-            for nu in report.grid:
+            for nu in grid:
                 induction_step_check(nu, k)
         except MonotonicityViolationError as exc:
             failures.append(f"k={k}: {exc}")

@@ -84,9 +84,14 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _log_moment_nu(nu: float, m: float) -> float:
-    # ln[(nu/2)^(m/2) Gamma((nu-m)/2) / Gamma(nu/2)], which is 0 in the Gaussian limit
-    return 0.0 if math.isinf(nu) else log_gamma_ratio(0.5 * nu, -0.5 * m)
+def _log_ratio_nu(nu: float, s: float) -> float:
+    # Q(nu/2, s), which is 0 in the Gaussian limit. Only nu = 5e-324 halves to 0;
+    # there Q has reached its a -> 0 limit lgamma(s) + (1 - s) ln a (0 at s = 0)
+    if math.isinf(nu):
+        return 0.0
+    if 0.5 * nu == 0.0:
+        return math.lgamma(s) + (1.0 - s) * (math.log(nu) - math.log(2.0)) if s else 0.0
+    return log_gamma_ratio(0.5 * nu, s)
 
 
 def log_mode_value(nu, k: int) -> float:
@@ -97,9 +102,7 @@ def log_mode_value(nu, k: int) -> float:
     """
     nu = check_dof(nu)
     k = check_dim(k)
-    if math.isinf(nu):
-        return -(0.5 * k) * _LN_2PI
-    return log_gamma_ratio(0.5 * nu, 0.5 * k) - (0.5 * k) * _LN_2PI
+    return _log_ratio_nu(nu, 0.5 * k) - (0.5 * k) * _LN_2PI
 
 
 def mode_value(nu, k: int) -> float:
@@ -147,7 +150,7 @@ def radial_moment(nu, k: int, m) -> float:
     nu = check_dof(nu)
     k = check_dim(k)
     m = _check_moment_order(m, nu)
-    return _exp(0.5 * m * math.log(k) + log_gamma_ratio(0.5 * k, 0.5 * m) + _log_moment_nu(nu, m))
+    return _exp(0.5 * m * math.log(k) + log_gamma_ratio(0.5 * k, 0.5 * m) + _log_ratio_nu(nu, -0.5 * m))
 
 
 def moment_ratio(nu1, nu2, k: int, m) -> float:
@@ -167,7 +170,7 @@ def moment_ratio(nu1, nu2, k: int, m) -> float:
     nu2 = check_dof(nu2)
     check_dim(k)
     m = _check_moment_order(m, nu1, nu2)
-    return _exp(_log_moment_nu(nu1, m) - _log_moment_nu(nu2, m))
+    return _exp(_log_ratio_nu(nu1, -0.5 * m) - _log_ratio_nu(nu2, -0.5 * m))
 
 
 def kurtosis_ratio(nu1, nu2, k: int) -> float:

@@ -130,20 +130,16 @@ class TestQuadrature:
         result = ballprob.ball_prob_quadrature(2.0, 3, 1.5)
         assert 0.0 <= result.error_estimate < 1e-8
 
-    def test_depth_exhaustion_raises_with_partial_result(self):
-        spec = ballprob.QuadSpec(abs_tol=1e-300, rel_tol=1e-300, max_depth=3)
+    def test_depth_exhaustion_raises_with_partial_result(self, monkeypatch):
+        monkeypatch.setattr(ballprob, "QUAD_ABS_TOL", 1e-300)
+        monkeypatch.setattr(ballprob, "QUAD_REL_TOL", 1e-300)
+        monkeypatch.setattr(ballprob, "QUAD_MAX_DEPTH", 3)
         with pytest.raises(errors.QuadratureConvergenceError) as info:
-            ballprob.ball_prob_quadrature(2.0, 3, 1.5, spec=spec)
+            ballprob.ball_prob_quadrature(2.0, 3, 1.5)
         err = info.value
         closed = ballprob.ball_prob(2.0, 3, 1.5)
         assert err.best_estimate == pytest.approx(closed, rel=1e-3)
         assert err.error_estimate > 0.0
-
-    def test_spec_validation(self):
-        with pytest.raises(errors.DomainError):
-            ballprob.QuadSpec(abs_tol=-1e-9, rel_tol=1e-12, max_depth=60)
-        with pytest.raises(errors.DomainError):
-            ballprob.QuadSpec(abs_tol=1e-9, rel_tol=1e-12, max_depth=-1)
 
 
 class TestPublishedTable:
@@ -163,11 +159,13 @@ class TestPublishedTable:
             )
             assert printed == ballprob.TABLE1_PRINTED[row.nu]
 
-    def test_row_invariants_enforced(self):
-        with pytest.raises(errors.DomainError):
-            ballprob.Table1Row(nu=1.0, probs=(0.1, 0.2, 0.01, 0.001))
-        with pytest.raises(errors.DomainError):
-            ballprob.Table1Row(nu=1.0, probs=(0.5, 0.4, 0.3, 1.5))
+    def test_row_invariants_enforced(self, monkeypatch):
+        # table1() rejects a computed row that rises in k or leaves [0, 1]
+        bad_rows = ((0.1, 0.2, 0.01, 0.001), (0.5, 0.4, 0.3, 1.5), (1.5, 0.4, 0.3, 0.2), (0.3, 0.2, 0.1, -0.1))
+        for bad_row in bad_rows:
+            monkeypatch.setattr(ballprob, "ball_prob", lambda nu, k, r: bad_row[k - 1])
+            with pytest.raises(errors.DomainError):
+                ballprob.table1()
 
     def test_published_strings_decrease_within_rows(self):
         # The printed strings themselves must reflect the dimension decay.

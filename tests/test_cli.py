@@ -99,6 +99,8 @@ class TestModeValue:
             ["mode-value", "--k", "1", "--grid", "1:5:2.5"],
             ["verify", "--k-max", "3", "--points", "0"],
             ["verify", "--k-max", "3", "--grid", "0.1:10:5", "--points", "7"],
+            # an --output path whose directory is a file
+            ["mode-value", "--k", "1", "--nu", "3", "--output", str(Path(__file__) / "x.csv")],
         ],
     )
     def test_usage_errors(self, runner, args):

@@ -1,4 +1,5 @@
-"""numpy stays off the import path until Monte Carlo or a log grid needs it."""
+"""numpy stays off the import path until Monte Carlo or a log grid needs it,
+and a plain `import tmode` does not load dataclasses either."""
 
 import json
 import os
@@ -13,12 +14,13 @@ SRC = Path(tmode.__file__).resolve().parent.parent
 
 MCORACLE_NAMES = ("SampleBatch", "SplitMix64", "estimate_ball_prob", "estimate_ball_prob_prefixes", "sample_t")
 
-# Runs in a fresh interpreter; prints, after each step, whether numpy is loaded.
+# Runs in a fresh interpreter; prints, after each step, whether numpy is
+# loaded, and after `import tmode` also whether dataclasses is.
 PROBE = """
 import contextlib, io, json, sys
 seen = []
 import tmode
-seen.append(["import tmode", "numpy" in sys.modules])
+seen.append(["import tmode", "numpy" in sys.modules, "dataclasses" in sys.modules])
 import tmode.cli
 seen.append(["import tmode.cli", "numpy" in sys.modules])
 for argv in json.loads(sys.argv[1]):
@@ -54,6 +56,7 @@ def test_numpy_free_commands_never_load_numpy():
     seen = probe(NUMPY_FREE)
     assert [step[0] for step in seen] == ["import tmode", "import tmode.cli"] + [" ".join(a) for a in NUMPY_FREE]
     assert [step for step in seen if step[1]] == []
+    assert seen[0][2] is False, "import tmode loaded dataclasses"
     assert all(step[2] == 0 for step in seen[2:])
 
 

@@ -111,22 +111,18 @@ class TestClassification:
         assert report.classification == "decreasing"
         assert report.max_derivative_residual <= 1e-5
 
-    def test_report_carries_grid(self):
-        grid = monotone.default_nu_grid(0.1, 10.0, 25)
-        report = monotone.classify_monotonicity(3, grid=grid)
-        assert report.k == 3
-        assert report.grid == tuple(grid)
-
-    def test_unachievable_zero_tolerance_raises(self):
+    def test_unachievable_zero_tolerance_raises(self, monkeypatch):
         # With the dead band collapsed to 1e-16 the plane's derivative
         # noise (~1e-14) must register as a contradiction, whichever
         # sign pattern it takes.
+        monkeypatch.setattr(monotone, "ZERO_TOL", 1e-16)
         with pytest.raises(errors.MonotonicityViolationError):
-            monotone.classify_monotonicity(2, zero_tol=1e-16)
+            monotone.classify_monotonicity(2)
 
-    def test_violation_carries_witnesses(self):
+    def test_violation_carries_witnesses(self, monkeypatch):
+        monkeypatch.setattr(monotone, "ZERO_TOL", 1e-16)
         try:
-            monotone.classify_monotonicity(2, zero_tol=1e-16)
+            monotone.classify_monotonicity(2)
         except errors.MonotonicityViolationError as exc:
             assert isinstance(exc.witnesses, list)
         else:

@@ -143,12 +143,15 @@ class TestModeValue:
 
     def test_tiny_nu_is_finite(self):
         assert math.isfinite(tdist.log_mode_value(1e-300, 3))
-        # subnormal nu/2: the quotients (f + j)/a overflow; references are 60-digit mpmath
+        # subnormal nu/2: the quotients (f + j)/a overflow, and at nu = 5e-324
+        # nu/2 itself underflows to 0; references are 60-digit mpmath
         for nu, k, want in (
             (1e-320, 4, 733.84463393871516049),
             (1e-320, 3, 365.88259619851766228),
             (1e-306, 500, 176284.81672781839757),
             (1e-310, 500, 178578.19148044046784),
+            (5e-324, 4, 741.45746496912252),
+            (5e-324, 3, 369.68901171372134),
         ):
             assert tdist.log_mode_value(nu, k) == pytest.approx(want, rel=1e-15)
 
@@ -218,6 +221,9 @@ class TestRadialMoment:
     def test_order_zero(self):
         assert tdist.radial_moment(3.0, 4, 0.0) == 1.0
         assert tdist.radial_moment(math.inf, 2, 0) == 1.0
+        # the smallest subnormal nu, where nu/2 underflows to 0
+        assert tdist.radial_moment(5e-324, 3, 0) == 1.0
+        assert tdist.moment_ratio(5e-324, 3.0, 2, 0) == 1.0
 
     def test_variance_formula(self):
         # E|X|^2 = k nu / (nu - 2) for nu > 2.
