@@ -18,7 +18,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureConvergenceError
-from .specfun import _reg_inc_beta, log_gamma, reg_lower_inc_gamma
+from .specfun import _reg_inc_beta, digamma, log_gamma, reg_lower_inc_gamma
 from .tdist import check_dim, check_dof, log_mode_value
 
 __all__ = [
@@ -77,7 +77,13 @@ def ball_prob(nu, k: int, r) -> float:
     total = r2 + nu
     if math.isinf(total):
         raise DomainError(f"r^2 + nu overflows at nu={nu!r}, r={r!r}")
-    return _reg_inc_beta(0.5 * k, 0.5 * nu, r2 / total, nu / total)
+    y = nu / total
+    if y == 0.0 or 0.5 * nu == 0.0:
+        # nu < 4.4e-16: ln(1 - P) = b (ln y + psi(k/2) - psi(1)) to first order in b = nu/2,
+        # clamped where r^2 is near nu and the true P is a few subnormals at most
+        log_tail = (math.log(nu) - math.log(total) + digamma(0.5 * k) - digamma(1.0)) * 0.5 * nu
+        return max(0.0, -math.expm1(log_tail))
+    return _reg_inc_beta(0.5 * k, 0.5 * nu, r2 / total, y)
 
 
 def _simpson_recurse(

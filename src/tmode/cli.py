@@ -11,8 +11,8 @@ from the environment.
 Degrees of freedom are spelled "inf" for the Gaussian member. Numbers
 print with 6 significant digits unless --precision full is given.
 
-numpy is imported only by the commands that need it (Monte Carlo and
-log-spaced grids), so the others start without paying for it.
+numpy is imported only for Monte Carlo (sample and table1 --n-mc), so
+every other command starts without paying for it.
 """
 
 from __future__ import annotations
@@ -122,21 +122,13 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
     return [a + i * step for i in range(div)] + [b]
 
 
-def _geomspace(a: float, b: float, n: int) -> list[float]:
-    # numpy's power and log10 round differently from libm's on a few
-    # percent of inputs, so a pure-Python port would change printed grids
-    import numpy as np
-
-    return np.geomspace(a, b, n).tolist()
-
-
-def _parse_grid(text: str, log: bool) -> list[float]:
+def _parse_grid(text: str, log: bool) -> list[float] | tuple[float, ...]:
     start, stop, count = _parse_range(text, "grid", "start:stop:count")
     if not (0.0 < start < stop) or not math.isfinite(stop):
         raise click.UsageError(f"grid endpoints must satisfy 0 < start < stop, got {text!r}")
     if count < 2:
         raise click.UsageError(f"grid needs at least 2 points, got {count}")
-    return (_geomspace if log else _linspace)(start, stop, count)
+    return monotone.default_nu_grid(start, stop, count) if log else _linspace(start, stop, count)
 
 
 def _table(fn):
@@ -198,7 +190,7 @@ def cmd_mode_value(k, nu_text, grid_text, log_spaced):
     elif grid_text is not None:
         nus = _parse_grid(grid_text, log_spaced)
     else:
-        nus = _geomspace(*DEFAULT_FIGURE_GRID)
+        nus = monotone.default_nu_grid(*DEFAULT_FIGURE_GRID)
     return ["nu", "mode_value"], [[float(nu), tdist.mode_value(nu, k)] for nu in nus], []
 
 

@@ -3,11 +3,11 @@
 Draws use the scale-mixture representation X = Z * sqrt(nu / W) with Z
 standard normal and W chi-square with nu degrees of freedom (X = Z in
 the Gaussian limit). Randomness comes from an embedded counter-based
-generator (SplitMix64: output_i = mix64(seed + i * golden64)), never
-from a platform default, so identical (nu, k, n, seed) reproduce the
-draws bit for bit on any machine. The stream layout is part of that
-contract: first the n*k normal variates for Z, then whatever the
-chi-square rejection sampler consumes.
+generator (SplitMix64: output_i = mix64(seed + i * golden64)), so identical
+(nu, k, n, seed) give the same words on any machine, and the same draws bit
+for bit on the same numpy build and CPU (numpy's SIMD log, cos, sin and power
+vary in the last bit). The stream layout is part of the contract: first the
+n*k normals for Z, then whatever the chi-square rejection sampler consumes.
 
 Normals are Box-Muller pairs (the non-polar form, two uniforms in, two
 normals out); gamma variates use Marsaglia-Tsang acceptance with the

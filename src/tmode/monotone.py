@@ -74,14 +74,14 @@ def default_nu_grid(
     hi: float = DEFAULT_GRID_RANGE[1],
     points: int = DEFAULT_GRID_POINTS,
 ) -> tuple[float, ...]:
-    """Log-spaced tail-weight grid, endpoints included."""
+    """Log-spaced tail-weight grid that starts at exactly lo and ends at exactly hi."""
     if not (0.0 < lo < hi) or math.isinf(hi):
         raise DomainError(f"grid range must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
     if points < 2:
         raise DomainError(f"grid needs at least 2 points, got {points}")
     llo = math.log10(lo)
     lhi = math.log10(hi)
-    return tuple(10.0 ** (llo + i * (lhi - llo) / (points - 1)) for i in range(points))
+    return (float(lo), *(10.0 ** (llo + i * (lhi - llo) / (points - 1)) for i in range(1, points - 1)), float(hi))
 
 
 def _derivative_sum(nu: float, k: int) -> float:

@@ -133,7 +133,9 @@ def log_density(nu, k: int, point: Sequence[float] | Iterable[float]) -> float:
     base = log_mode_value(nu, k)
     if math.isinf(nu):
         return base - 0.5 * sq
-    return base - 0.5 * (nu + k) * math.log1p(sq / nu)
+    q = sq / nu
+    # where q overflows, log1p(q) is ln sq - ln nu to the last bit
+    return base - 0.5 * (nu + k) * (math.log1p(q) if q < math.inf else math.log(sq) - math.log(nu))
 
 
 def radial_moment(nu, k: int, m) -> float:

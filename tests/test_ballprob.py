@@ -48,6 +48,22 @@ class TestClosedForm:
         for r in RADII[:-1]:
             assert abs(ballprob.ball_prob(1e300, 2, r) + math.expm1(-0.5 * r * r)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "nu,k,r,want",
+        [
+            # 1000-digit mpmath; nu/2 or nu/(r^2 + nu) underflows to 0
+            (5e-324, 2, 10.0, 1.8503876065304516e-321),
+            (1e-300, 3, 1e150, 6.9046867507877367e-298),
+            (1e-20, 1, 1e154, 3.7831710243158342e-18),
+            (5e-324, 3, 0.1, 1.8261189883448124e-321),
+            # r^2 underflows, and the first-order value would be negative
+            (5e-324, 500, 1e-170, 0.0),
+        ],
+    )
+    def test_underflowing_tail_weight(self, nu, k, r, want):
+        # within one subnormal ulp plus rounding
+        assert abs(ballprob.ball_prob(nu, k, r) - want) <= 5e-324 + 1e-15 * want
+
     def test_both_arguments_round_up(self):
         # r^2 + nu rounds down, so x = r^2/(r^2 + nu) and 1 - x = nu/(r^2 + nu)
         # both round up and both pass their switch points of the incomplete beta

@@ -1,11 +1,14 @@
-"""numpy stays off the import path until Monte Carlo or a log grid needs it,
-and a plain `import tmode` does not load dataclasses either."""
+"""numpy stays off the import path until Monte Carlo needs it, and a plain
+`import tmode` does not load dataclasses either. Log-spaced grids are built
+without numpy, so their printed bytes do not depend on its CPU dispatch."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tmode
 from tmode import mcoracle
@@ -37,6 +40,15 @@ NUMPY_FREE = [
     ["table1"],
     ["verify", "--k-max", "3", "--points", "20"],
     ["moments", "--nu1", "5", "--nu2", "10", "--k", "3", "--m", "2"],
+    ["mode-value", "--k", "3"],
+    ["mode-value", "--k", "2", "--grid", "0.5:20:15", "--log"],
+    ["verify", "--k-max", "3", "--grid", "0.1:100:10"],
+]
+
+# full-precision log-grid commands, one on the default grid
+LOG_GRID_COMMANDS = [
+    ["mode-value", "--k", "3", "--precision", "full"],
+    ["mode-value", "--k", "1", "--grid", "0.1:100:50", "--log", "--precision", "full"],
 ]
 
 
@@ -77,3 +89,25 @@ def test_star_import_binds_all_public_names():
     exec("from tmode import *", namespace)
     assert set(tmode.__all__) <= set(namespace)
     assert namespace["sample_t"] is mcoracle.sample_t
+
+
+def _numpy_cpu_features():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.skipif(not _numpy_cpu_features().get("X86_V4"), reason="numpy does not see X86_V4 on this CPU")
+@pytest.mark.parametrize("argv", LOG_GRID_COMMANDS, ids=" ".join)
+def test_log_grid_bytes_ignore_numpy_cpu_dispatch(argv):
+    def stdout(**extra):
+        env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+        env.update(PYTHONPATH=str(SRC), **extra)
+        proc = subprocess.run(
+            [sys.executable, "-m", "tmode.cli", *argv], env=env, capture_output=True, text=True, check=True
+        )
+        return proc.stdout
+
+    assert stdout() == stdout(NPY_DISABLE_CPU_FEATURES="X86_V4")

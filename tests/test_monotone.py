@@ -138,11 +138,13 @@ class TestClassification:
 
 
 class TestDefaultGrid:
-    def test_shape(self):
-        grid = monotone.default_nu_grid(0.01, 1e4, 200)
-        assert len(grid) == 200
-        assert grid[0] == pytest.approx(0.01)
-        assert grid[-1] == pytest.approx(1e4)
+    @pytest.mark.parametrize("lo,hi,points", [(0.01, 1e4, 200), (0.3, 7.0, 50), (0.1, 30.0, 200)])
+    def test_shape(self, lo, hi, points):
+        grid = monotone.default_nu_grid(lo, hi, points)
+        assert len(grid) == points
+        # the endpoints are the values asked for, not 10 ** log10 of them
+        assert grid[0] == lo
+        assert grid[-1] == hi
         ratios = [b / a for a, b in zip(grid, grid[1:])]
         assert max(ratios) - min(ratios) < 1e-9
 

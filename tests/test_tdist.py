@@ -200,6 +200,18 @@ class TestLogDensity:
         far = [30.0, 0.0]
         assert tdist.log_density(1.0, 2, far) > tdist.log_density(math.inf, 2, far)
 
+    @pytest.mark.parametrize(
+        "nu,k,point,want",
+        [
+            # 60-digit mpmath; |x|^2 / nu overflows
+            (1e-320, 2, [0.3, 0.1], -736.3625328643892),
+            (5e-324, 1, [2.0], -745.8263662825011),
+            (1e-310, 4, [1, 1, 1, 1], -719.5565745026527),
+        ],
+    )
+    def test_subnormal_tail_weight(self, nu, k, point, want):
+        assert tdist.log_density(nu, k, point) == pytest.approx(want, rel=1e-15)
+
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatchError):
             tdist.log_density(2.0, 3, [1.0, 2.0])
