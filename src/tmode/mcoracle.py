@@ -11,7 +11,9 @@ n*k normals for Z, then whatever the chi-square rejection sampler consumes.
 
 Normals are Box-Muller pairs (the non-polar form, two uniforms in, two
 normals out); gamma variates use Marsaglia-Tsang acceptance with the
-shape+1 boost below shape 1.
+shape+1 boost below shape 1. Both run block by block over absolute stream
+positions, so sampling holds only the (n, k) draws, the n chi-square
+variates and a fixed block, with the same words and draws as whole arrays.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 2.0**-53
+_BLOCK = 1 << 14  # float64s (128 KiB) in each temporary array of a block
 
 
 class SplitMix64:
@@ -59,29 +62,39 @@ class SplitMix64:
         """Words consumed so far."""
         return self._position
 
-    def next_uint64(self, n: int) -> np.ndarray:
-        idx = np.arange(self._position + 1, self._position + n + 1, dtype=np.uint64)
-        self._position += n
-        z = self._seed + idx * _GOLDEN
+    def _words(self, start: int, n: int, uniform: bool = False) -> np.ndarray:
+        """Words start+1 .. start+n (or their uniforms); position is not moved."""
+        z = self._seed + np.arange(start + 1, start + n + 1, dtype=np.uint64) * _GOLDEN
         z = (z ^ (z >> np.uint64(30))) * _MIX1
         z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(31)
+        return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53 if uniform else z
+
+    def next_uint64(self, n: int) -> np.ndarray:
+        self._position += n
+        return self._words(self._position - n, n)
 
     def next_uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on (0, 1] (never 0, so logs are safe)."""
-        bits = self.next_uint64(n) >> np.uint64(11)
-        return (bits.astype(np.float64) + 1.0) * _INV_2_53
+        self._position += n
+        return self._words(self._position - n, n, uniform=True)
+
+    def _box_muller(self, out: np.ndarray, p: int, pairs: int, a: int) -> None:
+        """Normals of pairs [a, a + out.size/2); u1 words start at p, u2 at p + pairs."""
+        m = out.size // 2
+        radius = np.sqrt(-2.0 * np.log(self._words(p + a, m, uniform=True)))
+        angle = (2.0 * math.pi) * self._words(p + pairs + a, m, uniform=True)
+        np.multiply(radius, np.cos(angle), out=out[0::2])
+        np.multiply(radius, np.sin(angle), out=out[1::2])
 
     def next_normal(self, n: int) -> np.ndarray:
         """n standard normals, Box-Muller pairs."""
         pairs = (n + 1) // 2
-        u1 = self.next_uniform(pairs)
-        u2 = self.next_uniform(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * math.pi) * u2
+        p = self._position
+        self._position += 2 * pairs
         out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        for a in range(0, pairs, _BLOCK):
+            self._box_muller(out[2 * a : 2 * (a + _BLOCK)], p, pairs, a)
         return out[:n]
 
     def next_gamma(self, shape: float, n: int) -> np.ndarray:
@@ -93,23 +106,32 @@ class SplitMix64:
         d = alpha - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         out = np.empty(n, dtype=np.float64)
+        buf = np.empty(_BLOCK, dtype=np.float64)
         filled = 0
         while filled < n:
+            # one round: `want` normals, then `want` uniforms, in blocks
             want = n - filled
-            x = self.next_normal(want)
-            u = self.next_uniform(want)
-            t = 1.0 + c * x
-            v = t * t * t
-            with np.errstate(invalid="ignore", divide="ignore"):
-                accept = (v > 0.0) & (
-                    np.log(u) < 0.5 * x * x + d - d * v + d * np.log(np.where(v > 0.0, v, 1.0))
-                )
-            got = v[accept]
-            take = min(got.size, want)
-            out[filled : filled + take] = d * got[:take]
-            filled += take
+            pairs = (want + 1) // 2
+            p = self._position
+            self._position += 2 * pairs + want
+            for a in range(0, pairs, _BLOCK // 2):
+                x = buf[: 2 * min(_BLOCK // 2, pairs - a)]
+                self._box_muller(x, p, pairs, a)
+                x = x[: want - 2 * a]
+                u = self._words(p + 2 * pairs + 2 * a, x.size, uniform=True)
+                t = 1.0 + c * x
+                v = t * t * t
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    accept = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(np.where(v > 0.0, v, 1.0)))
+                got = v[accept]
+                out[filled : filled + got.size] = d * got
+                filled += got.size
         if boosted:
-            out *= self.next_uniform(n) ** (1.0 / shape)
+            p = self._position
+            self._position += n
+            for a in range(0, n, _BLOCK):
+                blk = out[a : a + _BLOCK]
+                blk *= self._words(p + a, blk.size, uniform=True) ** (1.0 / shape)
         return out
 
 
@@ -132,12 +154,15 @@ def sample_t(nu, k: int, n: int, seed: int) -> SampleBatch:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
     gen = SplitMix64(seed)
     z = gen.next_normal(n * k).reshape(n, k)
-    if math.isinf(nu):
-        draws = z
-    else:
-        w = 2.0 * gen.next_gamma(0.5 * nu, n)
-        draws = z * np.sqrt(nu / w)[:, None]
-    return SampleBatch(nu=nu, k=k, n=n, seed=seed, draws=draws)
+    if not math.isinf(nu):
+        # nu/2 == 0 takes the Gamma(shape -> 0) limit w = 0: +/-inf draws, as at tiny nu
+        w = gen.next_gamma(0.5 * nu, n) if 0.5 * nu > 0.0 else np.zeros(n)
+        with np.errstate(divide="ignore", over="ignore"):
+            w *= 2.0
+            np.divide(nu, w, out=w)
+            np.sqrt(w, out=w)
+            z *= w[:, None]
+    return SampleBatch(nu=nu, k=k, n=n, seed=seed, draws=z)
 
 
 def estimate_ball_prob(batch: SampleBatch, r) -> tuple[float, float]:
@@ -161,10 +186,9 @@ def estimate_ball_prob_prefixes(batch: SampleBatch, r) -> list[tuple[float, floa
     correlated across j, but each one is individually unbiased.
     """
     r = _check_radius(r)
-    sq = np.cumsum(batch.draws * batch.draws, axis=1)
-    out = []
-    for j in range(batch.k):
-        hits = int(np.count_nonzero(sq[:, j] <= r * r))
-        p = hits / batch.n
-        out.append((p, math.sqrt(p * (1.0 - p) / batch.n)))
-    return out
+    hits = np.zeros(batch.k, dtype=np.int64)
+    rows = max(1, _BLOCK // batch.k)
+    for i in range(0, batch.n, rows):
+        blk = batch.draws[i : i + rows]
+        hits += np.count_nonzero(np.cumsum(blk * blk, axis=1) <= r * r, axis=0)
+    return [(p, math.sqrt(p * (1.0 - p) / batch.n)) for p in (hits / batch.n).tolist()]

@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +330,27 @@ class TestSample:
         assert result.exit_code == 2
         result = runner.invoke(cli.main, ["sample", "--nu", "3", "--k", "2", "--n", "10", "--seed", "0", "--radius", "-1"])
         assert result.exit_code == 2
+
+    def test_smallest_subnormal_nu(self, runner):
+        # nu/2 underflows to 0; every draw is infinite, so nothing is in the ball
+        result = runner.invoke(
+            cli.main, ["sample", "--nu", "5e-324", "--k", "2", "--n", "100", "--seed", "1", "--radius", "0.5"]
+        )
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        assert float(rows[0][5]) == 0.0
+
+    def test_tiny_nu_writes_nothing_to_stderr(self):
+        # saturated draws are misses, not numpy warnings
+        argv = ["sample", "--nu", "1e-3", "--k", "2", "--n", "1000", "--seed", "1", "--radius", "0.5"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tmode.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_nonconvergence_is_one_line_error(self, runner):
         # ball_prob(1e300, 2, 5) runs out of continued-fraction iterations

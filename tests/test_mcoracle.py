@@ -1,6 +1,8 @@
 """Reproducibility and statistical sanity of the Monte Carlo oracle."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from tmode import ballprob, errors, mcoracle
 
 MASK = (1 << 64) - 1
+B = mcoracle._BLOCK
 
 
 def reference_splitmix64(seed: int, n: int) -> list[int]:
@@ -21,6 +24,63 @@ def reference_splitmix64(seed: int, n: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
         out.append(z ^ (z >> 31))
     return out
+
+
+def whole_uniform(gen, n):
+    return ((gen.next_uint64(n) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+
+
+def whole_normal(gen, n):
+    """The sampler's Box-Muller step over whole arrays, as before blocking."""
+    pairs = (n + 1) // 2
+    u1 = whole_uniform(gen, pairs)
+    u2 = whole_uniform(gen, pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * math.pi) * u2
+    out = np.empty(2 * pairs, dtype=np.float64)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+def whole_gamma(gen, shape, n):
+    """Marsaglia-Tsang over whole rounds, as before blocking."""
+    boosted = shape < 1.0
+    alpha = shape + 1.0 if boosted else shape
+    d = alpha - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(n, dtype=np.float64)
+    filled = 0
+    while filled < n:
+        want = n - filled
+        x = whole_normal(gen, want)
+        u = whole_uniform(gen, want)
+        t = 1.0 + c * x
+        v = t * t * t
+        with np.errstate(invalid="ignore", divide="ignore"):
+            accept = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(np.where(v > 0.0, v, 1.0)))
+        got = v[accept]
+        take = min(got.size, want)
+        out[filled : filled + take] = d * got[:take]
+        filled += take
+    if boosted:
+        out *= whole_uniform(gen, n) ** (1.0 / shape)
+    return out
+
+
+def whole_sample(nu, k, n, seed):
+    """(draws, final stream position) of sample_t over whole arrays."""
+    gen = mcoracle.SplitMix64(seed)
+    z = whole_normal(gen, n * k).reshape(n, k)
+    if math.isinf(nu):
+        return z, gen.position
+    w = 2.0 * whole_gamma(gen, 0.5 * nu, n)
+    return z * np.sqrt(nu / w)[:, None], gen.position
+
+
+def whole_prefix_hits(draws, r):
+    sq = np.cumsum(draws * draws, axis=1)
+    return [int(np.count_nonzero(sq[:, j] <= r * r)) for j in range(draws.shape[1])]
 
 
 class TestSplitMix64:
@@ -79,6 +139,13 @@ class TestSplitMix64:
         assert abs(w.var() - shape) < 5.0 * math.sqrt(var_of_var) + 0.01 * shape
         assert abs(w.var() - shape) / shape < 0.05
 
+    @pytest.mark.parametrize("shape", [0.26, 1.0])
+    def test_gamma_blocks_reproduce_whole_rounds(self, shape):
+        # about 3-5% are rejected, so the second round also spans blocks
+        a, b = mcoracle.SplitMix64(5), mcoracle.SplitMix64(5)
+        assert a.next_gamma(shape, 1 << 20).tobytes() == whole_gamma(b, shape, 1 << 20).tobytes()
+        assert a.position == b.position
+
     def test_gamma_bad_shape(self):
         with pytest.raises(errors.DomainError):
             mcoracle.SplitMix64(0).next_gamma(0.0, 10)
@@ -119,6 +186,72 @@ class TestSampleT:
         se = math.sqrt((mu4 - want * want) / batch.n)
         for j in range(2):
             assert abs(batch.draws[:, j].var() - want) < 4.0 * se
+
+    # (n, k) with n*k in {1, 2B - 1, 2B, 2B + 1, 3B + 7}
+    @pytest.mark.parametrize("n, k", [(1, 1), (2 * B - 1, 1), (B, 2), (2 * B + 1, 1), (3 * B + 7, 1)])
+    @pytest.mark.parametrize("nu", [0.52, 1.0, 2.0, 10.0, math.inf])
+    def test_blocks_reproduce_whole_array_stream(self, nu, n, k):
+        self.assert_matches_whole_array(nu, k, n, 31, 0.8)
+
+    # the monte-carlo benchmark workload's inputs for its seed 1
+    @pytest.mark.parametrize(
+        "nu, seed, r",
+        [
+            (1.0, 7399589116837456607, 0.9855841014131337),
+            (2.0, 1087608058291172412, 0.4411394620106921),
+            (10.0, 4355693531291048099, 0.7042745624416129),
+            (math.inf, 1936491312797304342, 0.1324689633698656),
+            (0.5149827905798419, 8239395385945212840, 1.2228001111456417),
+        ],
+    )
+    def test_benchmark_inputs_reproduce_whole_array_stream(self, nu, seed, r):
+        self.assert_matches_whole_array(nu, 4, 250_000, seed, r)
+
+    @staticmethod
+    def assert_matches_whole_array(nu, k, n, seed, r):
+        draws, position = whole_sample(nu, k, n, seed)
+        batch = mcoracle.sample_t(nu, k, n, seed)
+        assert batch.draws.tobytes() == draws.tobytes()
+        gen = mcoracle.SplitMix64(seed)
+        gen.next_normal(n * k)
+        if not math.isinf(nu):
+            gen.next_gamma(0.5 * nu, n)
+        assert gen.position == position
+        got = mcoracle.estimate_ball_prob_prefixes(batch, r)
+        assert [p for p, _ in got] == [h / n for h in whole_prefix_hits(draws, r)]
+
+    @pytest.mark.parametrize("nu", [0.5, 2.0, math.inf])
+    @pytest.mark.parametrize("n", [250_000, 1_000_000])
+    def test_working_memory_does_not_grow_with_n(self, nu, n):
+        # beyond the draws and the n chi-square variates, only fixed-size blocks;
+        # the second of two runs is counted, so one-time allocations drop out
+        def run():
+            batch = mcoracle.sample_t(nu, 4, n, 2)
+            mcoracle.estimate_ball_prob_prefixes(batch, 1.0)
+            return batch.draws.nbytes
+
+        tracemalloc.start()
+        try:
+            run()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            nbytes = run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= nbytes + 8 * n + 2 * 2**20
+
+    def test_smallest_subnormal_nu_gives_infinite_draws(self):
+        # nu/2 underflows to 0: the Gamma(shape -> 0) limit, w = 0
+        batch = mcoracle.sample_t(5e-324, 2, 100, 1)
+        assert np.isinf(batch.draws).all()
+
+    def test_tiny_nu_saturates_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = mcoracle.sample_t(1e-3, 2, 1000, 1)
+        assert np.isinf(batch.draws).any()
+        assert not np.isnan(batch.draws).any()
 
     def test_validation(self):
         with pytest.raises(errors.DomainError):
