@@ -1,23 +1,25 @@
 """Alternating parent/change runs of one benchmark workload, written to BENCH_<workload>.json.
 
-    python3 scripts/bench_pairs.py --workload monte-carlo --parent HEAD~1 --pairs 10 --seconds 16 --seed 3 --seed 11
+    python3 scripts/bench_pairs.py --workload monte-carlo --parent HEAD~1 --pairs 10 --seed 3 --seed 11
 
 The script works on the repository it sits in. The parent is the
-committed tree of --parent and the change is the working tree, or the
-committed tree of --change. Committed trees are exported with `git archive` into a
-temporary directory (under $TMPDIR) that is removed afterwards, so only
-committed files are measured and nothing is added to `.git`.
+committed tree of --parent and the change the committed tree of --change
+(default HEAD). Both are exported with `git archive` into a temporary
+directory (under $TMPDIR) that is removed afterwards, so only committed
+files are measured and nothing is added to `.git`.
 
 The --seed values are used in turn, one per pair. Pair i runs the parent
 first when i is even and the change first when it is odd. Each run is the
 command in BENCHMARK.json with `--workload W --seed S --seconds T
---trace 0`, started from its own checkout root, whose last stdout line
-is one JSON result. The output holds every run with the environment it
-printed (including a hash of the sources measured), each side's median and
-quartiles per end-to-end metric, and per metric how many pairs each side
+--trace 0`, where T is its `run_seconds`, started from its own checkout
+root, whose last stdout line is one JSON result. The output holds every
+run with the environment it printed (including a hash of the sources
+measured), each side's median and quartiles per end-to-end metric, and per metric how many pairs each side
 won (ties count for neither), whether the change won at least nine
-tenths of the pairs by more than the parent's interquartile range, and
-whether its median is worse than the parent's by more than the bound.
+tenths of at least ten pairs by more than the parent's interquartile
+range, and whether its median is worse than the parent's by more than
+the bound. Fewer than ten pairs never make a gain claimable: 2 of 2 or
+3 of 3 wins happen by chance too often to count as evidence.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK_FILES = ("BENCHMARK.json", "perfbench")
+MIN_CLAIM_PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -80,7 +83,8 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
         "change": new,
         "change_wins": sum(g > 0 for g in gains),
         "parent_wins": sum(g < 0 for g in gains),
-        "gain_claimable": sum(g > 0 for g in gains) >= 0.9 * len(pairs)
+        "gain_claimable": len(pairs) >= MIN_CLAIM_PAIRS
+        and sum(g > 0 for g in gains) >= 0.9 * len(pairs)
         and -worse > base["q3"] - base["q1"],
         "worse_beyond_bound": worse > metric["bound"] * abs(base["median"]),
     }
@@ -90,23 +94,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--parent", required=True, help="revision to compare against")
-    parser.add_argument("--change", help="revision to measure (default: the working tree)")
+    parser.add_argument("--change", default="HEAD", help="revision to measure (default: HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds in BENCHMARK.json)")
     parser.add_argument("--seed", type=int, action="append", help="workload seed, repeatable (default: 1)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     seeds = args.seed or [1]
-    compared = [args.parent] + ([args.change] if args.change else [])
-    if subprocess.run(["git", "diff", "--quiet", *compared, "--", *BENCHMARK_FILES], cwd=ROOT).returncode:
+    if subprocess.run(["git", "diff", "--quiet", args.parent, args.change, "--", *BENCHMARK_FILES], cwd=ROOT).returncode:
         parser.error("the benchmark files differ between the two sides; measure both with the same benchmark")
-    parent_rev = git("rev-parse", args.parent)
-    change_rev = git("rev-parse", args.change) if args.change else "working tree"
+    revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {"parent": export(parent_rev, Path(tmp) / "parent")}
-        roots["change"] = export(change_rev, Path(tmp) / "change") if args.change else ROOT
+        roots = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -117,8 +117,8 @@ def main(argv=None) -> int:
             pairs.append(pair)
     report = {
         "workload": args.workload,
-        "parent": parent_rev,
-        "change": change_rev,
+        "parent": revs["parent"],
+        "change": revs["change"],
         "seconds": seconds,
         "seeds": seeds,
         "counts_agree": all(
