@@ -186,9 +186,20 @@ def estimate_ball_prob_prefixes(batch: SampleBatch, r) -> list[tuple[float, floa
     correlated across j, but each one is individually unbiased.
     """
     r = _check_radius(r)
+    r2 = r * r
     hits = np.zeros(batch.k, dtype=np.int64)
-    rows = max(1, _BLOCK // batch.k)
-    for i in range(0, batch.n, rows):
-        blk = batch.draws[i : i + rows]
-        hits += np.count_nonzero(np.cumsum(blk * blk, axis=1) <= r * r, axis=0)
+    norm_buf = np.empty(_BLOCK, dtype=np.float64)
+    sq_buf = np.empty(_BLOCK, dtype=np.float64)
+    inside_buf = np.empty(_BLOCK, dtype=bool)
+    # a square that overflows is +inf, a miss for every finite r
+    with np.errstate(over="ignore"):
+        for i in range(0, batch.n, _BLOCK):
+            blk = batch.draws[i : i + _BLOCK]
+            m = blk.shape[0]
+            norm, sq, inside = norm_buf[:m], sq_buf[:m], inside_buf[:m]
+            norm.fill(0.0)
+            for j in range(batch.k):
+                np.multiply(blk[:, j], blk[:, j], out=sq)
+                norm += sq
+                hits[j] += np.count_nonzero(np.less_equal(norm, r2, out=inside))
     return [(p, math.sqrt(p * (1.0 - p) / batch.n)) for p in (hits / batch.n).tolist()]

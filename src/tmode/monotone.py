@@ -184,10 +184,13 @@ def classify_monotonicity(k: int, grid: Sequence[float] | None = None) -> Monoto
 
     # corroborate with actual value movement where values cannot tie
     witnesses = []
+    value_a = mode_value(vals[0], k)
     for nu_a, nu_b in zip(vals, vals[1:]):
         if nu_b > _VALUE_CHECK_NU_MAX:
             break
-        delta = mode_value(nu_b, k) - mode_value(nu_a, k)
+        value_b = mode_value(nu_b, k)
+        delta = value_b - value_a
+        value_a = value_b
         ok = (
             delta > 0.0
             if classification == "increasing"
