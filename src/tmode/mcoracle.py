@@ -166,7 +166,12 @@ def sample_t(nu, k: int, n: int, seed: int) -> SampleBatch:
 
 
 def estimate_ball_prob(batch: SampleBatch, r) -> tuple[float, float]:
-    """Empirical P(|X| <= r) with its binomial standard error."""
+    """Empirical P(|X| <= r) with its binomial standard error.
+
+    The squared norms come from einsum, whose sum rounds differently from
+    the prefix estimator's left-to-right sum; it is kept because it is the
+    faster of the two at wide k, and a different rounding could move a hit.
+    """
     r = _check_radius(r)
     sq = np.einsum("ij,ij->i", batch.draws, batch.draws)
     hits = int(np.count_nonzero(sq <= r * r))
@@ -184,6 +189,13 @@ def estimate_ball_prob_prefixes(batch: SampleBatch, r) -> list[tuple[float, floa
     column of dimensions. Entry j-1 of the result is (estimate, std_error)
     for dimension j. The prefix estimates share draws and are therefore
     correlated across j, but each one is individually unbiased.
+
+    Each block of rows keeps one running squared norm per row: column j's
+    squares are added to it, then the rows inside the ball are counted for
+    dimension j+1. The norm is summed left to right from 0.0 (adding the
+    first square to 0.0 leaves it unchanged), the same additions in the
+    same order as np.cumsum along a row, so the hit counts equal those of
+    the whole-array cumsum bit for bit.
     """
     r = _check_radius(r)
     r2 = r * r

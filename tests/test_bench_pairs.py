@@ -1,0 +1,87 @@
+"""Claim rules of scripts/bench_pairs.py: which parent/change pairs make a gain claimable."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+HIGHER = {"name": "draws_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "peak_mib", "unit": "MiB", "better": "lower", "bound": 0.25}
+
+
+def summarize(metric, parent, change):
+    pairs = [
+        {"parent": {"metrics": {metric["name"]: b}}, "change": {"metrics": {metric["name"]: c}}}
+        for b, c in zip(parent, change)
+    ]
+    return bench_pairs.summarize(metric, pairs)
+
+
+class TestGainClaimable:
+    def test_needs_ten_pairs(self):
+        assert bench_pairs.MIN_CLAIM_PAIRS == 10
+        three = summarize(HIGHER, [100.0] * 3, [120.0] * 3)
+        assert three["change_wins"] == 3 and not three["gain_claimable"]
+        ten = summarize(HIGHER, [100.0] * 10, [120.0] * 10)
+        assert ten["change_wins"] == 10 and ten["gain_claimable"]
+
+    @pytest.mark.parametrize(
+        "change, wins, claimable",
+        [
+            ([120.0] * 9 + [90.0], 9, True),  # 9 of 10
+            ([120.0] * 9 + [100.0], 9, True),  # a tie counts for neither side
+            ([120.0] * 8 + [90.0] * 2, 8, False),
+            ([120.0] * 8 + [100.0] * 2, 8, False),
+        ],
+    )
+    def test_nine_tenths_of_pairs(self, change, wins, claimable):
+        got = summarize(HIGHER, [100.0] * 10, change)
+        assert got["change_wins"] == wins
+        assert got["parent_wins"] == change.count(90.0)
+        assert got["gain_claimable"] is claimable
+
+    def test_nine_tenths_scales_with_pairs(self):
+        assert summarize(HIGHER, [100.0] * 20, [120.0] * 18 + [90.0] * 2)["gain_claimable"]
+        assert not summarize(HIGHER, [100.0] * 20, [120.0] * 17 + [90.0] * 3)["gain_claimable"]
+
+    def test_median_gain_must_exceed_parent_iqr(self):
+        parent = [100.0 + 10.0 * i for i in range(10)]  # quartiles 122.5 and 167.5
+        small = summarize(HIGHER, parent, [b + 1.0 for b in parent])
+        assert small["change_wins"] == 10 and not small["gain_claimable"]
+        assert summarize(HIGHER, parent, [b + 46.0 for b in parent])["gain_claimable"]
+
+    def test_lower_is_better(self):
+        got = summarize(LOWER, [26.7] * 10, [10.7] * 10)
+        assert got["change_wins"] == 10 and got["gain_claimable"]
+        assert not summarize(LOWER, [10.7] * 10, [26.7] * 10)["gain_claimable"]
+
+    def test_equal_runs_claim_nothing(self):
+        got = summarize(HIGHER, [100.0] * 10, [100.0] * 10)
+        assert (got["change_wins"], got["parent_wins"], got["gain_claimable"]) == (0, 0, False)
+
+
+class TestWorseBeyondBound:
+    @pytest.mark.parametrize(
+        "metric, change, worse",
+        [
+            (HIGHER, 76.0, False),
+            (HIGHER, 74.0, True),
+            (LOWER, 124.0, False),
+            (LOWER, 126.0, True),
+        ],
+    )
+    def test_median_against_bound(self, metric, change, worse):
+        # the bound is 0.25 of the parent's median, 100
+        got = summarize(metric, [100.0] * 10, [change] * 10)
+        assert got["worse_beyond_bound"] is worse
+        assert not got["gain_claimable"]
+
+    def test_uses_medians_not_single_pairs(self):
+        # one far-off pair moves no median
+        got = summarize(HIGHER, [100.0] * 10, [100.0] * 9 + [1.0])
+        assert not got["worse_beyond_bound"]

@@ -79,7 +79,8 @@ def whole_sample(nu, k, n, seed):
 
 
 def whole_prefix_hits(draws, r):
-    sq = np.cumsum(draws * draws, axis=1)
+    with np.errstate(over="ignore"):
+        sq = np.cumsum(draws * draws, axis=1)
     return [int(np.count_nonzero(sq[:, j] <= r * r)) for j in range(draws.shape[1])]
 
 
@@ -262,6 +263,47 @@ class TestSampleT:
             mcoracle.sample_t(2.0, 2, 0, 0)
         with pytest.raises(errors.DomainError):
             mcoracle.sample_t(2.0, 2, 2.5, 0)
+
+
+def assert_prefixes_match_cumsum(batch, r):
+    # squares that overflow to inf are misses, not warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mcoracle.estimate_ball_prob_prefixes(batch, r)
+    assert [p for p, _ in got] == [h / batch.n for h in whole_prefix_hits(batch.draws, r)]
+
+
+class TestPrefixEstimator:
+    """The running squared norm gives exactly the hits of a whole-array cumsum."""
+
+    # row counts on both sides of one and two blocks; k = 500 at two of them
+    # keeps the (n, k) draws at or under 66 MB
+    @pytest.mark.parametrize(
+        "k, n",
+        [(k, n) for k in (1, 2, 3, 5, 20, 100) for n in (B - 1, B, B + 1, 2 * B + 3)]
+        + [(500, B - 1), (500, B + 1)],
+    )
+    def test_matches_cumsum_reference(self, k, n):
+        batch = mcoracle.sample_t(2.5, k, n, k)
+        for r in (0.0, math.sqrt(k), 1e9):
+            assert_prefixes_match_cumsum(batch, r)
+
+    def test_sums_left_to_right(self):
+        # squares 1, 2^-54, 2^-54, ...: each addition rounds back to 1.0, so
+        # only a left-to-right sum keeps every prefix norm at r^2 = 1 exactly
+        draws = np.full((3, 20), 2.0**-27)
+        draws[:, 0] = 1.0
+        batch = mcoracle.SampleBatch(nu=math.inf, k=20, n=3, seed=0, draws=draws)
+        assert [p for p, _ in mcoracle.estimate_ball_prob_prefixes(batch, 1.0)] == [1.0] * 20
+        assert_prefixes_match_cumsum(batch, 1.0)
+
+    @pytest.mark.parametrize("nu", [1e-3, 5e-324])
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    def test_infinite_draws(self, nu, k):
+        batch = mcoracle.sample_t(nu, k, B + 1, 7)
+        assert np.isinf(batch.draws).any()
+        for r in (0.0, 1.0, 1e9):
+            assert_prefixes_match_cumsum(batch, r)
 
 
 class TestEstimateBallProb:

@@ -111,22 +111,38 @@ class TestClassification:
         assert report.classification == "decreasing"
         assert report.max_derivative_residual <= 1e-5
 
-    def test_unachievable_zero_tolerance_raises(self, monkeypatch):
-        # With the dead band collapsed to 1e-16 the plane's derivative
-        # noise (~1e-14) must register as a contradiction, whichever
-        # sign pattern it takes.
+    @pytest.fixture
+    def derivative_noise(self, monkeypatch):
+        # mixed-sign noise at two grid points, 0 elsewhere, in place of the
+        # analytic derivative, so these tests do not hang on k = 2 rounding
+        grid = monotone.default_nu_grid()
+        noise = {grid[10]: 1e-14, grid[100]: -1e-14}
+        monkeypatch.setattr(monotone, "dlog_mode_value", lambda nu, k: noise.get(nu, 0.0))
+        return noise
+
+    def test_unachievable_zero_tolerance_raises(self, monkeypatch, derivative_noise):
+        # With the dead band collapsed to 1e-16, derivative noise of
+        # 1e-14 must register as a contradiction when its signs mix.
         monkeypatch.setattr(monotone, "ZERO_TOL", 1e-16)
         with pytest.raises(errors.MonotonicityViolationError):
             monotone.classify_monotonicity(2)
 
-    def test_violation_carries_witnesses(self, monkeypatch):
+    def test_violation_carries_witnesses(self, monkeypatch, derivative_noise):
         monkeypatch.setattr(monotone, "ZERO_TOL", 1e-16)
         try:
             monotone.classify_monotonicity(2)
         except errors.MonotonicityViolationError as exc:
             assert isinstance(exc.witnesses, list)
+            assert exc.witnesses == sorted(derivative_noise.items())
         else:
             pytest.fail("expected a violation")
+
+    def test_value_check_computes_each_mode_value_once(self, monkeypatch):
+        calls = []
+        real = monotone.mode_value
+        monkeypatch.setattr(monotone, "mode_value", lambda nu, k: calls.append(nu) or real(nu, k))
+        monotone.classify_monotonicity(3)
+        assert calls and len(calls) == len(set(calls))
 
     def test_grid_validation(self):
         with pytest.raises(errors.DomainError):
