@@ -94,8 +94,6 @@ def emit(fmt: str, path: str, command: str, header: list[str], rows: list[list],
 
 
 def _parse_nu(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
     try:
         value = float(text)
     except ValueError:

@@ -77,6 +77,8 @@ def default_nu_grid(
     """Log-spaced tail-weight grid that starts at exactly lo and ends at exactly hi."""
     if not (0.0 < lo < hi) or math.isinf(hi):
         raise DomainError(f"grid range must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
+    if isinstance(points, bool) or not isinstance(points, int):
+        raise DomainError(f"grid points must be an integer, got {points!r}")
     if points < 2:
         raise DomainError(f"grid needs at least 2 points, got {points}")
     llo = math.log10(lo)
@@ -251,6 +253,7 @@ def verify_dimension(k: int, grid: Sequence[float]) -> tuple[list, list[str]]:
     False).
     """
     k = check_dim(k)
+    grid = _validate_grid(grid)
     expected = {1: "increasing", 2: "constant"}.get(k, "decreasing")
     try:
         report = classify_monotonicity(k, grid=grid)

@@ -70,6 +70,10 @@ class TestModeValue:
         _, rows = parse_csv(result.output)
         assert rows[0][0] == "inf"
         assert float(rows[0][1]) == pytest.approx((2.0 * math.pi) ** -0.5, rel=1e-14)
+        for spelling in ("Infinity", " INF "):
+            other = runner.invoke(cli.main, ["mode-value", "--k", "1", "--nu", spelling, "--precision", "full"])
+            assert other.exit_code == 0
+            assert other.output == result.output
 
     def test_json_schema(self, runner):
         result = runner.invoke(cli.main, ["mode-value", "--k", "2", "--nu", "inf", "--format", "json"])

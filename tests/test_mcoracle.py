@@ -296,6 +296,8 @@ class TestPrefixEstimator:
         batch = mcoracle.SampleBatch(nu=math.inf, k=20, n=3, seed=0, draws=draws)
         assert [p for p, _ in mcoracle.estimate_ball_prob_prefixes(batch, 1.0)] == [1.0] * 20
         assert_prefixes_match_cumsum(batch, 1.0)
+        # the whole-dimension estimator applies the same rule
+        assert mcoracle.estimate_ball_prob(batch, 1.0) == (1.0, 0.0)
 
     @pytest.mark.parametrize("nu", [1e-3, 5e-324])
     @pytest.mark.parametrize("k", [1, 3, 20])

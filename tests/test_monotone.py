@@ -171,6 +171,10 @@ class TestDefaultGrid:
             monotone.default_nu_grid(0.0, 1.0, 10)
         with pytest.raises(errors.DomainError):
             monotone.default_nu_grid(0.1, 1.0, 1)
+        with pytest.raises(errors.DomainError):
+            monotone.default_nu_grid(0.1, 1.0, 5.0)
+        with pytest.raises(errors.DomainError):
+            monotone.default_nu_grid(0.1, 1.0, "5")
 
 
 class TestInductionStep:
@@ -206,6 +210,15 @@ class TestVerifyDimension:
         assert row[3] <= monotone.FD_RESIDUAL_BOUND
         assert row[4].startswith(aux)
         assert row[5] is True
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_one_shot_grid(self, k, monkeypatch):
+        # the grid is read once, so an iterator checks every point like the tuple
+        checked = []
+        induction = monotone.induction_step_check
+        monkeypatch.setattr(monotone, "induction_step_check", lambda nu, k: checked.append(nu) or induction(nu, k))
+        assert monotone.verify_dimension(k, iter(self.GRID)) == monotone.verify_dimension(k, self.GRID)
+        assert checked == (list(self.GRID) * 2 if k == 3 else [])
 
     def test_mixed_signs_give_violated_row(self, monkeypatch):
         monkeypatch.setattr(monotone, "_derivative_sum", lambda nu, k: 1.0 if nu < 1.0 else -1.0)
