@@ -18,7 +18,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureConvergenceError
-from .specfun import _reg_inc_beta, digamma, log_gamma, reg_lower_inc_gamma
+from .specfun import _reg_inc_beta, _require_nonnegative, digamma, log_gamma, reg_lower_inc_gamma
 from .tdist import check_dim, check_dof, log_mode_value
 
 __all__ = [
@@ -50,13 +50,6 @@ class QuadResult(NamedTuple):
     error_estimate: float
 
 
-def _check_radius(r) -> float:
-    r = float(r)
-    if math.isnan(r) or math.isinf(r) or r < 0.0:
-        raise DomainError(f"radius must be a finite nonnegative real, got {r!r}")
-    return r
-
-
 def ball_prob(nu, k: int, r) -> float:
     """P(|X| <= r) by the closed form.
 
@@ -68,7 +61,7 @@ def ball_prob(nu, k: int, r) -> float:
     """
     nu = check_dof(nu)
     k = check_dim(k)
-    r = _check_radius(r)
+    r = _require_nonnegative(r, "radius")
     if r == 0.0:
         return 0.0
     if math.isinf(nu):
@@ -141,7 +134,7 @@ def ball_prob_quadrature(nu, k: int, r) -> QuadResult:
     """
     nu = check_dof(nu)
     k = check_dim(k)
-    r = _check_radius(r)
+    r = _require_nonnegative(r, "radius")
     if r == 0.0:
         return QuadResult(0.0, 0.0)
 

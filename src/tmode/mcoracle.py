@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballprob import _check_radius
 from .errors import DomainError
+from .specfun import _require_count, _require_nonnegative
 from .tdist import check_dim, check_dof
 
 __all__ = [
@@ -52,9 +52,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise DomainError(f"seed must be an integer, got {seed!r}")
-        self._seed = np.uint64(seed & _MASK64)
+        self._seed = np.uint64(_require_count(seed, "seed") & _MASK64)
         self._position = 0
 
     @property
@@ -150,8 +148,7 @@ def sample_t(nu, k: int, n: int, seed: int) -> SampleBatch:
     """Draw n points from the (nu, k) member, reproducibly by seed."""
     nu = check_dof(nu)
     k = check_dim(k)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"sample size must be a positive integer, got {n!r}")
+    n = _require_count(n, "sample size", 1)
     gen = SplitMix64(seed)
     z = gen.next_normal(n * k).reshape(n, k)
     if not math.isinf(nu):
@@ -185,7 +182,7 @@ def estimate_ball_prob_prefixes(batch: SampleBatch, r) -> list[tuple[float, floa
     running squared norm per row and adds one column at a time, so the
     sums are those of np.cumsum along a row, bit for bit.
     """
-    r = _check_radius(r)
+    r = _require_nonnegative(r, "radius")
     r2 = r * r
     hits = np.zeros(batch.k, dtype=np.int64)
     norm_buf = np.empty(_BLOCK, dtype=np.float64)

@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, MonotonicityViolationError
-from .specfun import digamma
+from .specfun import _real, _require_count, _require_positive, digamma
 from .tdist import check_dim, check_dof, log_mode_value, mode_value
 
 __all__ = [
@@ -75,15 +75,14 @@ def default_nu_grid(
     points: int = DEFAULT_GRID_POINTS,
 ) -> tuple[float, ...]:
     """Log-spaced tail-weight grid that starts at exactly lo and ends at exactly hi."""
-    if not (0.0 < lo < hi) or math.isinf(hi):
+    lo = _real(lo, "lo")
+    hi = _real(hi, "hi")
+    if not 0.0 < lo < hi < math.inf:
         raise DomainError(f"grid range must satisfy 0 < lo < hi < inf, got [{lo}, {hi}]")
-    if isinstance(points, bool) or not isinstance(points, int):
-        raise DomainError(f"grid points must be an integer, got {points!r}")
-    if points < 2:
-        raise DomainError(f"grid needs at least 2 points, got {points}")
+    points = _require_count(points, "grid points", 2)
     llo = math.log10(lo)
     lhi = math.log10(hi)
-    return (float(lo), *(10.0 ** (llo + i * (lhi - llo) / (points - 1)) for i in range(1, points - 1)), float(hi))
+    return (lo, *(10.0 ** (llo + i * (lhi - llo) / (points - 1)) for i in range(1, points - 1)), hi)
 
 
 def _derivative_sum(nu: float, k: int) -> float:
@@ -128,12 +127,9 @@ class MonotonicityReport(NamedTuple):
 
 
 def _validate_grid(grid: Sequence[float]) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in grid)
+    vals = tuple(_require_positive(v, "grid point") for v in grid)
     if len(vals) < 2:
         raise DomainError("grid needs at least 2 points")
-    for v in vals:
-        if math.isnan(v) or math.isinf(v) or v <= 0.0:
-            raise DomainError(f"grid points must be finite positive reals, got {v!r}")
     if not all(a < b for a, b in zip(vals, vals[1:])):
         raise DomainError("grid must be strictly increasing")
     return vals

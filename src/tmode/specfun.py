@@ -7,9 +7,10 @@ incomplete gamma. Coefficient sets are embedded below with provenance
 notes; accuracy was checked against high-precision references.
 
 Domains are the positive reals (plus x in [0, 1] for the beta argument).
-Arguments outside the domain raise DomainError rather than returning
-NaN, so callers never have to re-check outputs. A series or continued
-fraction that runs out of iterations raises ConvergenceError.
+Arguments outside the domain, or not real numbers at all, raise
+DomainError rather than returning NaN, so callers never have to re-check
+outputs. A series or continued fraction that runs out of iterations
+raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -74,10 +75,45 @@ _HALF_SHIFT = tuple(_ratio_coefficients(0.5, len(_RATIO_ROWS)))
 _MAX_STEPS = 10_000
 
 
-def _require_positive(x: float, name: str) -> float:
-    x = float(x)
-    if math.isnan(x) or x <= 0.0 or math.isinf(x):
+# what float() raises for an argument that is no real number
+_NOT_REAL = (TypeError, ValueError, OverflowError)
+
+
+# The package's argument rules. Each raises DomainError "<name> must be ...".
+def _real(x, name: str) -> float:
+    try:
+        return float(x)
+    except _NOT_REAL as exc:
+        raise DomainError(f"{name} must be a real number: {exc}") from None
+
+
+def _require_count(n, name: str, least: float = -math.inf) -> int:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise DomainError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
+# The range rules, check_dof and log_gamma_ratio inline _real's conversion and
+# call it only to raise: they run on every closed-form call.
+def _require_positive(x, name: str) -> float:
+    try:
+        x = float(x)
+    except _NOT_REAL:
+        _real(x, name)  # raises DomainError
+    if not 0.0 < x < math.inf:
         raise DomainError(f"{name} must be a finite positive real, got {x!r}")
+    return x
+
+
+def _require_nonnegative(x, name: str) -> float:
+    try:
+        x = float(x)
+    except _NOT_REAL:
+        _real(x, name)  # raises DomainError
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} must be a finite nonnegative real, got {x!r}")
     return x
 
 
@@ -99,7 +135,10 @@ def log_gamma_ratio(a: float, s: float) -> float:
     about 1e-16 * s.
     """
     a = _require_positive(a, "a")
-    s = float(s)
+    try:
+        s = float(s)
+    except _NOT_REAL:
+        _real(s, "shift")  # raises DomainError
     if not math.isfinite(s) or a + s <= 0.0:
         raise DomainError(f"shift must be finite with a + s > 0, got a={a!r}, s={s!r}")
     if s < 0.0:
@@ -170,33 +209,41 @@ def digamma(x: float) -> float:
 
 
 def polygamma(n: int, x: float) -> float:
-    """n-th derivative of digamma, n >= 1, for x > 0.
+    """n-th derivative of digamma, 1 <= n <= 165, for x > 0.
 
     Sums the series sum_j (-1)^(n+1) n! / (x+j)^(n+1) directly and closes
     it with the integral tail n!/(n (x+J)^n) plus Euler-Maclaurin
     corrections; J is chosen so the remainder bound sits below 5e-14.
     Raw truncation alone would need ~1e12 terms at this tolerance, which
-    is why the tail is completed analytically rather than summed.
+    is why the tail is completed analytically rather than summed. Values
+    past the double range saturate to +/-inf. Above order 165 the
+    summed powers themselves leave the double range, so those orders
+    raise DomainError.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"derivative order must be an integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"derivative order must be >= 1, got {n}")
+    n = _require_count(n, "derivative order", 1)
+    if n > 165:
+        raise DomainError(f"derivative order must be <= 165, got {n}")
     x = _require_positive(x, "x")
 
+    sign = 1.0 if n % 2 == 1 else -1.0
     fac = float(math.factorial(n))
     # remainder after the B4 correction is below (n+5)!/(30240 y^(n+6))
-    y_needed = (math.factorial(n + 5) / (30240.0 * 5e-14)) ** (1.0 / (n + 6))
+    y_needed = math.exp((math.lgamma(n + 6) - math.log(30240.0 * 5e-14)) / (n + 6))
     terms = max(0, math.ceil(y_needed - x))
-    s = math.fsum(fac / (x + j) ** (n + 1) for j in range(terms))
+    try:
+        s = math.fsum(fac / (x + j) ** (n + 1) for j in range(terms))
+    except ZeroDivisionError:
+        # x^(n+1) underflowed, so n!/x^(n+1) is past the double range
+        return sign * math.inf
     y = x + terms
-    tail = (
-        fac / (n * y**n)
-        + fac / (2.0 * y ** (n + 1))
-        + math.factorial(n + 1) / (12.0 * y ** (n + 2))
-        - math.factorial(n + 3) / (720.0 * y ** (n + 4))
-    )
-    sign = 1.0 if n % 2 == 1 else -1.0
+    try:
+        head = fac / (n * y**n)
+    except OverflowError:
+        # only for y = x > y_needed, where y^n can leave the range and n!/y^n not
+        head = math.exp(math.lgamma(n) - n * math.log(y))
+    u = 1.0 / y
+    # head * (1 + n/(2y) + n(n+1)/(12 y^2) - n(n+1)(n+2)(n+3)/(720 y^4))
+    tail = head * (1.0 + n * u * (0.5 + (n + 1) * u / 12.0 * (1.0 - (n + 2) * (n + 3) * u * u / 60.0)))
     return sign * (s + tail)
 
 
@@ -260,7 +307,7 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     """
     a = _require_positive(a, "a")
     b = _require_positive(b, "b")
-    x = float(x)
+    x = _real(x, "x")
     if math.isnan(x) or x < 0.0 or x > 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
     return _reg_inc_beta(a, b, x, 1.0 - x)
@@ -313,7 +360,7 @@ def _lower_gamma_series(a: float, x: float, front: float) -> float:
 def reg_lower_inc_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0."""
     a = _require_positive(a, "a")
-    x = float(x)
+    x = _real(x, "x")
     if math.isnan(x) or x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x!r}")
     if x == 0.0:

@@ -30,7 +30,7 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, MomentExistenceError
-from .specfun import log_gamma_ratio
+from .specfun import _NOT_REAL, _real, _require_count, _require_nonnegative, log_gamma_ratio
 
 __all__ = [
     "GAUSSIAN_DOF",
@@ -50,7 +50,10 @@ _LN_2PI = math.log(2.0 * math.pi)
 
 def check_dof(nu) -> float:
     """Validate a tail-weight parameter: positive real or infinity."""
-    nu = float(nu)
+    try:
+        nu = float(nu)
+    except _NOT_REAL:
+        _real(nu, "nu")  # raises DomainError
     if math.isnan(nu) or nu <= 0.0:
         raise DomainError(f"nu must be positive (or inf for the Gaussian), got {nu!r}")
     return nu
@@ -58,18 +61,12 @@ def check_dof(nu) -> float:
 
 def check_dim(k) -> int:
     """Validate a dimension: integer k >= 1."""
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise DomainError(f"dimension must be an integer, got {k!r}")
-    if k < 1:
-        raise DomainError(f"dimension must be >= 1, got {k}")
-    return k
+    return _require_count(k, "dimension", 1)
 
 
 def _check_moment_order(m, *nus: float) -> float:
     # the m-th moment of each member exists for m < nu (always at nu = inf)
-    m = float(m)
-    if math.isnan(m) or math.isinf(m) or m < 0.0:
-        raise DomainError(f"moment order must be a finite real >= 0, got {m!r}")
+    m = _require_nonnegative(m, "moment order")
     for nu in nus:
         if m >= nu:
             raise MomentExistenceError(f"moment of order {m} does not exist for nu={nu} (needs m < nu)")
@@ -123,16 +120,29 @@ def log_density(nu, k: int, point: Sequence[float] | Iterable[float]) -> float:
     """
     nu = check_dof(nu)
     k = check_dim(k)
-    coords = [float(c) for c in point]
+    try:
+        coords = [float(c) for c in point]
+    except _NOT_REAL as exc:
+        raise DomainError(f"coordinates must be real numbers: {exc}") from None
     if len(coords) != k:
         raise DimensionMismatchError(f"expected {k} coordinates, got {len(coords)}")
     for c in coords:
         if math.isnan(c) or math.isinf(c):
             raise DomainError(f"coordinates must be finite, got {c!r}")
-    sq = math.fsum(c * c for c in coords)
+    try:
+        sq = math.fsum(c * c for c in coords)
+    except OverflowError:
+        # finite squares whose sum passes the double range
+        sq = math.inf
     base = log_mode_value(nu, k)
     if math.isinf(nu):
         return base - 0.5 * sq
+    if sq == math.inf:
+        # |x| above about 1.3e154: ln q from the coordinates scaled by the largest |c|,
+        # and ln(1 + q) = ln q + log1p(1/q) as q > 1
+        s = max(abs(c) for c in coords)
+        log_q = 2.0 * math.log(s) + math.log(math.fsum((c / s) ** 2 for c in coords)) - math.log(nu)
+        return base - 0.5 * (nu + k) * (log_q + math.log1p(math.exp(-log_q)))
     q = sq / nu
     # where q overflows, log1p(q) is ln sq - ln nu to the last bit
     return base - 0.5 * (nu + k) * (math.log1p(q) if q < math.inf else math.log(sq) - math.log(nu))

@@ -218,6 +218,11 @@ def _broken_induction(nu, k):
     raise MonotonicityViolationError(f"induction chain increased at nu={nu}, k={k}", witnesses=[(nu, 1.0)])
 
 
+def _misclassify_k3(k, grid, classify=monotone.classify_monotonicity):
+    report = classify(k, grid)
+    return report._replace(classification="increasing") if k == 3 else report
+
+
 class TestExitOne:
     """A failed check still prints the table, then one stderr line per problem, and exits 1."""
 
@@ -227,9 +232,10 @@ class TestExitOne:
             (monotone, "_derivative_sum", lambda nu, k: 1.0 if nu < 1.0 else -1.0, ["verify", "--k-max", "3", "--points", "10"], "violation: k=1: mixed"),
             (monotone, "mode_value_even_product", lambda nu, k: 1.0, ["verify", "--k-max", "4", "--points", "10"], "violation: k=2: product-form"),
             (monotone, "induction_step_check", _broken_induction, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: induction"),
+            (monotone, "classify_monotonicity", _misclassify_k3, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: classified"),
             (ballprob, "format_published", lambda value, k: "0", ["table1"], "mismatch at nu=1.0, k=1:"),
         ],
-        ids=["mixed-signs", "product", "induction", "table1"],
+        ids=["mixed-signs", "product", "induction", "classified", "table1"],
     )
     def test_problem_exits_1(self, runner, monkeypatch, module, name, fake, args, first_problem):
         monkeypatch.setattr(module, name, fake)

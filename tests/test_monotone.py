@@ -137,6 +137,14 @@ class TestClassification:
         else:
             pytest.fail("expected a violation")
 
+    def test_values_moving_against_the_classification_raise(self, monkeypatch):
+        # flat mode values under the decreasing derivative of k = 3
+        monkeypatch.setattr(monotone, "mode_value", lambda nu, k: 1.0)
+        grid = monotone.default_nu_grid(0.1, 100.0, 12)
+        with pytest.raises(errors.MonotonicityViolationError, match="move against the 'decreasing'") as info:
+            monotone.classify_monotonicity(3, grid)
+        assert info.value.witnesses == [(nu, 0.0) for nu in grid[:-1]]
+
     def test_value_check_computes_each_mode_value_once(self, monkeypatch):
         calls = []
         real = monotone.mode_value
@@ -185,6 +193,12 @@ class TestInductionStep:
             for k in (3, 5, 7, 9, 11):
                 lhs_next, lhs_k = monotone.induction_step_check(nu, k)
                 assert lhs_next <= lhs_k + monotone.INDUCTION_SLACK
+
+    def test_increase_raises(self, monkeypatch):
+        monkeypatch.setattr(monotone, "_derivative_sum", lambda nu, k: float(k))
+        with pytest.raises(errors.MonotonicityViolationError, match="increased at nu=2.0, k=3: 5.0 > 3.0") as info:
+            monotone.induction_step_check(2.0, 3)
+        assert info.value.witnesses == [(2.0, 2.0)]
 
     def test_rejects_even_or_line(self):
         with pytest.raises(errors.DomainError):
@@ -236,3 +250,17 @@ class TestVerifyDimension:
         assert row[4] == "product rel 1.00e-09"
         assert row[5] is False
         assert failures == ["k=4: product-form disagreement product rel 1.00e-09"]
+
+    @pytest.mark.parametrize(
+        "report, failure",
+        [
+            (monotone.MonotonicityReport("increasing", 0.0), "k=3: classified increasing, expected decreasing"),
+            (monotone.MonotonicityReport("decreasing", 1.0), "k=3: finite-difference residual 1.00e+00 exceeds 1e-5"),
+        ],
+        ids=["classification", "residual"],
+    )
+    def test_report_failures(self, monkeypatch, report, failure):
+        monkeypatch.setattr(monotone, "classify_monotonicity", lambda k, grid: report)
+        row, failures = monotone.verify_dimension(3, self.GRID)
+        assert row == [3, "decreasing", *report, "induction", False]
+        assert failures == [failure]

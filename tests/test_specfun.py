@@ -354,6 +354,24 @@ class TestPolygamma:
         with pytest.raises(errors.DomainError):
             specfun.polygamma(1, bad)
 
+    def test_saturates_beyond_double_range(self):
+        # n!/x^(n+1) overflows; x^(n+1) itself underflows to 0
+        assert specfun.polygamma(1, 1e-320) == math.inf
+        assert specfun.polygamma(2, 1e-200) == -math.inf
+        # x^n overflows while n!/x^n does not
+        for n, x in [(1, 1e300), (3, 1e100), (150, 1e3)]:
+            with mp.workdps(40):
+                want = float(mp.polygamma(n, x))
+            assert specfun.polygamma(n, x) == pytest.approx(want, rel=1e-13)
+
+    def test_largest_order(self):
+        with mp.workdps(40):
+            want = float(mp.polygamma(165, 1.0))
+        assert specfun.polygamma(165, 1.0) == pytest.approx(want, rel=specfun.POLYGAMMA_ATOL)
+        for n in (166, 170):
+            with pytest.raises(errors.DomainError, match="derivative order must be <= 165"):
+                specfun.polygamma(n, 1.0)
+
 
 class TestRegIncBeta:
     @pytest.mark.parametrize("a,b,x,want", REG_INC_BETA_REFS)

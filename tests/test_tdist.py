@@ -6,7 +6,7 @@ import random
 import mpmath as mp
 import pytest
 
-from tmode import errors, tdist
+from tmode import ballprob, errors, monotone, tdist
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -104,6 +104,24 @@ class TestValidation:
         for bad in (0, -3, 1.5, True, "2"):
             with pytest.raises(errors.DomainError):
                 tdist.check_dim(bad)
+
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (tdist.mode_value, (10**400, 3)),
+            (ballprob.ball_prob, (1, 1, 10**400)),
+            (monotone.default_nu_grid, (1, 10**400)),
+            (tdist.mode_value, ("x", 3)),
+            (tdist.mode_value, (None, 3)),
+            (monotone.default_nu_grid, ("a", 2.0)),
+            (tdist.log_density, (3.0, 2, [10**400, 0.0])),
+            (tdist.radial_moment, (3.0, 2, "one")),
+        ],
+    )
+    def test_non_real_arguments(self, fn, args):
+        # what float() cannot convert is a domain error, not a bare TypeError/ValueError/OverflowError
+        with pytest.raises(errors.DomainError, match="must be (a )?real number"):
+            fn(*args)
 
 
 class TestModeValue:
@@ -211,6 +229,25 @@ class TestLogDensity:
     )
     def test_subnormal_tail_weight(self, nu, k, point, want):
         assert tdist.log_density(nu, k, point) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "nu,k,point",
+        [
+            (3.0, 2, [1e200, 1e200]),
+            (3.0, 1, [2e154]),
+            (3.0, 2, [1.3e154, 1.3e154]),  # finite squares, overflowing sum
+            (0.5, 3, [1e300, -2e299, 5.0]),
+            (1e10, 2, [1e160, 1e150]),
+            (1e-300, 4, [1e300, 1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_squared_norm_past_double_range(self, nu, k, point):
+        with mp.workdps(mp_dps(nu)):
+            nu_mp = mp.mpf(nu)
+            sq = mp.fsum(mp.mpf(c) ** 2 for c in point)
+            want = mp.loggamma((nu_mp + k) / 2) - mp.loggamma(nu_mp / 2) - k * mp.log(mp.pi * nu_mp) / 2
+            want -= (nu_mp + k) / 2 * mp.log1p(sq / nu_mp)
+            assert abs(tdist.log_density(nu, k, point) / want - 1) <= 1e-13
 
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatchError):
