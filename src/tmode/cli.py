@@ -93,14 +93,6 @@ def emit(fmt: str, path: str, command: str, header: list[str], rows: list[list],
         fh.write(text)
 
 
-def _parse_nu(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise click.UsageError(f"cannot parse degrees of freedom {text!r}") from None
-    return tdist.check_dof(value)
-
-
 def _parse_range(text: str, name: str, spelling: str) -> tuple[float, float, int]:
     """Split an option value spelled a:b:n into its two ends and its count."""
     try:
@@ -184,7 +176,7 @@ def cmd_mode_value(k, nu_text, grid_text, log_spaced):
     if log_spaced and grid_text is None:
         raise click.UsageError("--log only applies to --grid")
     if nu_text is not None:
-        nus = [_parse_nu(nu_text)]
+        nus = [tdist.check_dof(nu_text)]
     elif grid_text is not None:
         nus = _parse_grid(grid_text, log_spaced)
     else:
@@ -205,7 +197,7 @@ def cmd_density_profile(k, nu_text, axis_range):
     if nu_text.strip().lower() == "all":
         nus = [1.0, 2.0, 10.0, math.inf]
     else:
-        nus = [_parse_nu(nu_text)]
+        nus = [tdist.check_dof(nu_text)]
     ts = _linspace(lo, hi, n)
     rows = []
     for nu in nus:
@@ -299,8 +291,8 @@ def cmd_moments(nu1_text, nu2_text, k, m):
     must be constant across the sweep, and kurtosis_ratio appears when
     both members have more than 4 degrees of freedom.
     """
-    nu1 = _parse_nu(nu1_text)
-    nu2 = _parse_nu(nu2_text)
+    nu1 = tdist.check_dof(nu1_text)
+    nu2 = tdist.check_dof(nu2_text)
     dims = sorted({k} | set(range(1, 11)))
     have_kurtosis = nu1 > 4.0 and nu2 > 4.0
     rows = []
@@ -326,7 +318,7 @@ def cmd_sample(nu_text, k, n, seed, radii):
     """
     from . import mcoracle
 
-    nu = _parse_nu(nu_text)
+    nu = tdist.check_dof(nu_text)
     batch = mcoracle.sample_t(nu, k, n, seed)
     rows = []
     for r in radii or (0.1,):

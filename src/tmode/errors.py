@@ -55,8 +55,8 @@ class ConvergenceError(RuntimeError):
 class MonotonicityViolationError(RuntimeError):
     """Numerical evidence contradicted the proven monotonicity pattern.
 
-    This is raised when derivative signs on a grid are mixed beyond
-    tolerance, or when the odd-dimension induction inequality fails.
+    This is raised when derivative signs on a grid are mixed, or when
+    the odd-dimension induction inequality fails.
     Either event would indicate a defect in the numerics, so it should
     never fire in practice.
     """

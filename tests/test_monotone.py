@@ -5,7 +5,9 @@ stays at 1/(2 pi) in the plane, and falls with nu from dimension 3 on.
 """
 
 import math
+import random
 
+import mpmath as mp
 import pytest
 
 from tmode import errors, monotone, tdist
@@ -25,6 +27,20 @@ DLOG_REFS = [
     (3.0, 20, -2.152458755554731),
 ]
 # fmt: on
+
+
+def _random_points(n=1500, seed=1):
+    # nu log-uniform on [1e-2, 1e14], k in {1, 3..20}
+    rng = random.Random(seed)
+    return [(10.0 ** rng.uniform(-2.0, 14.0), rng.choice([1, *range(3, 21)])) for _ in range(n)]
+
+
+def _reference_dlog(nu, k):
+    # the digamma difference cancels to about log10(nu) digits at large nu,
+    # and 1/nu dominates it at small nu, so scale the precision with both
+    with mp.workdps(30 + 2 * round(abs(math.log10(nu)))):
+        x = mp.mpf(nu)
+        return (mp.digamma((x + k) / 2) - mp.digamma(x / 2) - k / x) / 2
 
 
 class TestDerivative:
@@ -67,6 +83,33 @@ class TestDerivative:
     def test_gaussian_member_rejected(self):
         with pytest.raises(errors.DomainError):
             monotone.dlog_mode_value(math.inf, 3)
+
+    def test_exact_signs(self):
+        wrong = [
+            (nu, k)
+            for nu, k0 in _random_points()
+            for k in (k0, 50, 500)
+            if not (monotone.dlog_mode_value(nu, k) > 0.0 if k == 1 else monotone.dlog_mode_value(nu, k) < 0.0)
+        ]
+        assert wrong == []
+
+    def test_plane_is_exactly_positive_zero(self):
+        for nu, _ in _random_points(300):
+            d = monotone.dlog_mode_value(nu, 2)
+            assert d == 0.0 and math.copysign(1.0, d) == 1.0, nu
+
+    def test_relative_error_against_mpmath(self):
+        points = _random_points() + [(nu, k) for nu, _ in _random_points(40, seed=2) for k in (50, 500)]
+        worst = max(abs(monotone.dlog_mode_value(nu, k) / _reference_dlog(nu, k) - 1) for nu, k in points)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("nu", [5e-324, 1e-310, 1e-300, 1e300, 1.7e308])
+    def test_saturates_with_the_right_sign(self, nu):
+        for k in (1, 2, 3, 4, 20, 500):
+            d = monotone.dlog_mode_value(nu, k)
+            assert not math.isnan(d)
+            assert math.copysign(1.0, d) == (1.0 if k <= 2 else -1.0), k
+            assert (d == 0.0) == (k == 2 or nu > 1e200), k
 
 
 class TestEvenProduct:
@@ -113,27 +156,25 @@ class TestClassification:
 
     @pytest.fixture
     def derivative_noise(self, monkeypatch):
-        # mixed-sign noise at two grid points, 0 elsewhere, in place of the
-        # analytic derivative, so these tests do not hang on k = 2 rounding
+        # mixed-sign noise at two grid points, exactly 0 elsewhere, in place
+        # of the scaled derivative sum
         grid = monotone.default_nu_grid()
         noise = {grid[10]: 1e-14, grid[100]: -1e-14}
-        monkeypatch.setattr(monotone, "dlog_mode_value", lambda nu, k: noise.get(nu, 0.0))
+        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k: noise.get(nu, 0.0))
         return noise
 
-    def test_unachievable_zero_tolerance_raises(self, monkeypatch, derivative_noise):
-        # With the dead band collapsed to 1e-16, derivative noise of
-        # 1e-14 must register as a contradiction when its signs mix.
-        monkeypatch.setattr(monotone, "ZERO_TOL", 1e-16)
+    def test_mixed_signs_raise(self, derivative_noise):
+        # however small, two opposite signs contradict every classification
         with pytest.raises(errors.MonotonicityViolationError):
             monotone.classify_monotonicity(2)
 
-    def test_violation_carries_witnesses(self, monkeypatch, derivative_noise):
-        monkeypatch.setattr(monotone, "ZERO_TOL", 1e-16)
+    def test_violation_carries_witnesses(self, derivative_noise):
         try:
             monotone.classify_monotonicity(2)
         except errors.MonotonicityViolationError as exc:
             assert isinstance(exc.witnesses, list)
-            assert exc.witnesses == sorted(derivative_noise.items())
+            assert exc.witnesses == [(nu, monotone.dlog_mode_value(nu, 2)) for nu in sorted(derivative_noise)]
+            assert [d > 0.0 for _, d in exc.witnesses] == [True, False]
         else:
             pytest.fail("expected a violation")
 
@@ -151,6 +192,11 @@ class TestClassification:
         monkeypatch.setattr(monotone, "mode_value", lambda nu, k: calls.append(nu) or real(nu, k))
         monotone.classify_monotonicity(3)
         assert calls and len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("k, expected", [(1, "increasing"), (2, "constant"), (3, "decreasing")])
+    def test_largest_tail_weights(self, k, expected):
+        # the derivatives underflow to +/-0.0 here; their signs still decide
+        assert monotone.classify_monotonicity(k, [1e300, 1.7e308]).classification == expected
 
     def test_grid_validation(self):
         with pytest.raises(errors.DomainError):
@@ -195,7 +241,8 @@ class TestInductionStep:
                 assert lhs_next <= lhs_k + monotone.INDUCTION_SLACK
 
     def test_increase_raises(self, monkeypatch):
-        monkeypatch.setattr(monotone, "_derivative_sum", lambda nu, k: float(k))
+        # lhs(k) = k, given as the scaled sum nu (nu + k) lhs(k)
+        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k: k * nu * (nu + k))
         with pytest.raises(errors.MonotonicityViolationError, match="increased at nu=2.0, k=3: 5.0 > 3.0") as info:
             monotone.induction_step_check(2.0, 3)
         assert info.value.witnesses == [(2.0, 2.0)]
@@ -229,13 +276,24 @@ class TestVerifyDimension:
     def test_one_shot_grid(self, k, monkeypatch):
         # the grid is read once, so an iterator checks every point like the tuple
         checked = []
-        induction = monotone.induction_step_check
-        monkeypatch.setattr(monotone, "induction_step_check", lambda nu, k: checked.append(nu) or induction(nu, k))
+        induction = monotone._induction_step
+        monkeypatch.setattr(monotone, "_induction_step", lambda nu, k, s: checked.append(nu) or induction(nu, k, s))
         assert monotone.verify_dimension(k, iter(self.GRID)) == monotone.verify_dimension(k, self.GRID)
         assert checked == (list(self.GRID) * 2 if k == 3 else [])
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_computes_each_point_once(self, k, monkeypatch):
+        values, sums = [], []
+        mode_value, scaled = monotone.mode_value, monotone._scaled_derivative_sum
+        monkeypatch.setattr(monotone, "mode_value", lambda nu, k: values.append((nu, k)) or mode_value(nu, k))
+        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k: sums.append((nu, k)) or scaled(nu, k))
+        grid = monotone.default_nu_grid()
+        monotone.verify_dimension(k, grid)
+        assert len(values) == len(set(values)) == (len(grid) if k == 4 else sum(nu <= 100.0 for nu in grid))
+        assert len(sums) == len(set(sums)) == len(grid) * (2 if k == 3 else 1)
+
     def test_mixed_signs_give_violated_row(self, monkeypatch):
-        monkeypatch.setattr(monotone, "_derivative_sum", lambda nu, k: 1.0 if nu < 1.0 else -1.0)
+        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k: 1.0 if nu < 1.0 else -1.0)
         row, failures = monotone.verify_dimension(3, self.GRID)
         assert row[:3] == [3, "decreasing", "violated"]
         assert math.isnan(row[3])
@@ -260,7 +318,8 @@ class TestVerifyDimension:
         ids=["classification", "residual"],
     )
     def test_report_failures(self, monkeypatch, report, failure):
-        monkeypatch.setattr(monotone, "classify_monotonicity", lambda k, grid: report)
+        sweep = monotone._sweep
+        monkeypatch.setattr(monotone, "_sweep", lambda k, grid: (report, *sweep(k, grid)[1:]))
         row, failures = monotone.verify_dimension(3, self.GRID)
         assert row == [3, "decreasing", *report, "induction", False]
         assert failures == [failure]
