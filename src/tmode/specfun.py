@@ -3,8 +3,9 @@
 Everything here is scalar, pure and reentrant: log_gamma (the standard
 library's lgamma), the Gamma quotient log_gamma_ratio, digamma,
 polygamma, the regularized incomplete beta and the regularized lower
-incomplete gamma. Coefficient sets are embedded below with provenance
-notes; accuracy was checked against high-precision references.
+incomplete gamma. One table of Bernoulli numbers feeds every
+asymptotic series: the Gamma quotient's and the psi family's. Accuracy
+was checked against high-precision references.
 
 Domains are the positive reals (plus x in [0, 1] for the beta argument).
 Arguments outside the domain, or not real numbers at all, raise
@@ -37,13 +38,13 @@ __all__ = [
 # log_gamma error is relative to max(1, |value|) since the function has
 # zeros at x = 1 and x = 2 where a pure relative bound is meaningless.
 LOG_GAMMA_RTOL = 1e-14
-DIGAMMA_ATOL = 1e-13
-POLYGAMMA_ATOL = 1e-12
+DIGAMMA_ATOL = 5e-15
+POLYGAMMA_ATOL = 5e-15
 REG_INC_BETA_ATOL = 1e-12
 REG_LOWER_INC_GAMMA_ATOL = 1e-12
 
-# Bernoulli numbers B_0..B_12, with B_1 = -1/2.
-_BERNOULLI = (1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0, -691 / 2730)
+# Bernoulli numbers B_0..B_14, with B_1 = -1/2.
+_BERNOULLI = (1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0, -691 / 2730, 0.0, 7 / 6)
 
 # For 0 < f < 1, Q(a, f) = sum_n c_n(f) / a^n with
 # c_n(f) = (-1)^(n+1) (B_(n+1)(f) - B_(n+1)) / (n (n+1)). Row n - 1 holds
@@ -167,95 +168,86 @@ def log_gamma_ratio(a: float, s: float) -> float:
     return math.fsum(parts)
 
 
-# Asymptotic tail of digamma: psi(x) ~ ln x - 1/(2x) - sum B_2n/(2n x^2n).
-# Coefficients B_2n/(2n) for n = 1..9; with the recurrence shift below the
-# first omitted term is < 8e-15 for x >= 6.
-_DIGAMMA_SHIFT = 6.0
-_DIGAMMA_TAIL = (
-    1.0 / 12.0,
-    1.0 / 120.0,
-    1.0 / 252.0,
-    1.0 / 240.0,
-    1.0 / 132.0,
-    691.0 / 32760.0,
-    1.0 / 12.0,
-    3617.0 / 8160.0,
-    43867.0 / 14364.0,
-)
+def _inverse_power(c: float, z: float, k: int) -> float:
+    # c / z^k, also where z^k leaves the double range and the quotient does not
+    try:
+        return c / z**k
+    except OverflowError:
+        f, p = math.frexp(c)
+        m, q = math.frexp(z)
+        return math.ldexp(f / m**k, p - q * k)
+
+
+def _psi(n: int, x: float) -> float:
+    # psi^(n)(x) for n >= 0 and checked x > 0. The recurrence
+    # psi^(n)(x+1) = psi^(n)(x) + (-1)^n n!/x^(n+1) shifts x to y = x + J,
+    # where the asymptotic series, for n >= 1
+    #   (-1)^(n+1) (n-1)!/y^n (1 + n/(2y) + sum_m B_2m C(2m+n-1, 2m)/y^2m)
+    # and for n = 0 ln y - 1/(2y) - sum_m B_2m/(2m y^2m), is summed up to
+    # m = 6. J is the least shift at which the first omitted term, m = 7,
+    # falls below 1e-17 of the lead term.
+    coefficients = [_BERNOULLI[2 * m] * (math.comb(2 * m + n - 1, 2 * m) if n else 0.5 / m) for m in range(7, 0, -1)]
+    fac = float(math.factorial(n))
+    steps = range(max(0, math.ceil((abs(coefficients[0]) * 1e17) ** (1.0 / 14.0) - x)))
+    try:
+        shifts = [fac / (x + j) ** (n + 1) for j in steps]
+    except OverflowError:
+        shifts = [_inverse_power(fac, x + j, n + 1) for j in steps]
+    y = x + len(shifts)
+    u = (1.0 / y) * (1.0 / y)
+    t = 0.0
+    for c in coefficients[1:]:
+        t = (t + c) * u
+    if n:
+        series = _inverse_power(fac / n, y, n) * (1.0 + 0.5 * n / y + t)
+    else:
+        series = 0.5 / y + t - math.log(y)
+    return (1.0 if n % 2 else -1.0) * (math.fsum(shifts) + series)
 
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of Gamma for x > 0.
 
-    Small arguments are shifted upward with psi(x+1) = psi(x) + 1/x until
-    the asymptotic expansion applies; the shift terms are accumulated
-    with exact summation so the recurrence survives in the result to a
-    few ulps.
+    Arguments below 13.7 are shifted upward with psi(x+1) = psi(x) + 1/x,
+    the shift terms summed exactly, to where the asymptotic series in
+    B_2..B_12 leaves a remainder below 1e-17. Against 60-digit references
+    the error is below 1e-15 * max(1, |psi(x)|) on [1e-3, 1e5].
     """
-    x = _require_positive(x, "x")
-    shifts = []
-    y = x
-    while y < _DIGAMMA_SHIFT:
-        shifts.append(1.0 / y)
-        y += 1.0
-    w = 1.0 / (y * y)
-    t = 0.0
-    for c in reversed(_DIGAMMA_TAIL):
-        t = w * (c - t)
-    val = math.log(y) - 0.5 / y - t
-    if shifts:
-        val -= math.fsum(shifts)
-    return val
+    return _psi(0, _require_positive(x, "x"))
 
 
 def polygamma(n: int, x: float) -> float:
     """n-th derivative of digamma, 1 <= n <= 165, for x > 0.
 
-    Sums the series sum_j (-1)^(n+1) n! / (x+j)^(n+1) directly and closes
-    it with the integral tail n!/(n (x+J)^n) plus Euler-Maclaurin
-    corrections; J is chosen so the remainder bound sits below 5e-14.
-    Raw truncation alone would need ~1e12 terms at this tolerance, which
-    is why the tail is completed analytically rather than summed. Values
-    past the double range saturate to +/-inf. Above order 165 the
-    summed powers themselves leave the double range, so those orders
-    raise DomainError.
+    Computed like digamma: x is shifted upward with
+    psi^(n)(x+1) = psi^(n)(x) + (-1)^n n!/x^(n+1) until the first omitted
+    term of the asymptotic series falls below 1e-17 of its lead term,
+    which is from 16.6 on for trigamma and from 470 on at order 165.
+    Against 60-digit references the error is below 1e-15 * max(1, |value|)
+    for x in [1e-3, 1e5]. Values past the double range saturate to
+    +/-inf. Above order 165 the summed powers themselves leave the double
+    range, so those orders raise DomainError.
     """
     n = _require_count(n, "derivative order", 1)
     if n > 165:
         raise DomainError(f"derivative order must be <= 165, got {n}")
     x = _require_positive(x, "x")
-
-    sign = 1.0 if n % 2 == 1 else -1.0
-    fac = float(math.factorial(n))
-    # remainder after the B4 correction is below (n+5)!/(30240 y^(n+6))
-    y_needed = math.exp((math.lgamma(n + 6) - math.log(30240.0 * 5e-14)) / (n + 6))
-    terms = max(0, math.ceil(y_needed - x))
     try:
-        s = math.fsum(fac / (x + j) ** (n + 1) for j in range(terms))
+        return _psi(n, x)
     except ZeroDivisionError:
         # x^(n+1) underflowed, so n!/x^(n+1) is past the double range
-        return sign * math.inf
-    y = x + terms
-    try:
-        head = fac / (n * y**n)
-    except OverflowError:
-        # only for y = x > y_needed, where y^n can leave the range and n!/y^n not
-        head = math.exp(math.lgamma(n) - n * math.log(y))
-    u = 1.0 / y
-    # head * (1 + n/(2y) + n(n+1)/(12 y^2) - n(n+1)(n+2)(n+3)/(720 y^4))
-    tail = head * (1.0 + n * u * (0.5 + (n + 1) * u / 12.0 * (1.0 - (n + 2) * (n + 3) * u * u / 60.0)))
-    return sign * (s + tail)
+        return (1.0 if n % 2 else -1.0) * math.inf
 
 
 _TINY = 1e-300
-_CF_EPS = 1e-16
 
 
 def _lentz(d: float, c: float, steps) -> float:
     # Modified Lentz evaluation (Lentz 1976; Thompson & Barnett 1986) of
     # the continued fraction 1/(d + a_1/(b_1 + a_2/(b_2 + ...))), with c
     # the starting value of the C_j ratios. steps yields one group of
-    # (a_j, b_j) pairs per iteration; convergence is tested once per group.
+    # (a_j, b_j) pairs per iteration; it stops at the first group whose last
+    # step leaves h unchanged.
     if abs(d) < _TINY:
         d = _TINY
     d = 1.0 / d
@@ -271,7 +263,7 @@ def _lentz(d: float, c: float, steps) -> float:
             d = 1.0 / d
             delta = d * c
             h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        if delta == 1.0:
             return h
     raise ConvergenceError(
         f"continued fraction not converged after {iterations} iterations",
@@ -340,16 +332,17 @@ def _reg_inc_beta(a: float, b: float, x: float, y: float) -> float:
 
 
 def _lower_gamma_series(a: float, x: float, front: float) -> float:
-    # P(a,x) by series, for x < a + 1
+    # P(a,x) by series, for x < a + 1; the terms decrease, so the first one
+    # that leaves the total unchanged ends it
     term = 1.0 / a
     total = term
     denom = a
     for _ in range(10000):
         denom += 1.0
         term *= x / denom
-        total += term
-        if abs(term) < abs(total) * 1e-17:
+        if total + term == total:
             return total * front
+        total += term
     raise ConvergenceError(
         f"incomplete gamma series not converged at a={a}, x={x}",
         best_estimate=total * front,
@@ -368,6 +361,10 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
     if math.isinf(x):
         return 1.0
     front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if front == 0.0:
+        # P is 0 or 1 to the double; at huge x the fraction would stall with
+        # every step one ulp below 1
+        return 0.0 if x < a + 1.0 else 1.0
     if x < a + 1.0:
         return _lower_gamma_series(a, x, front)
     b = x + 1.0 - a

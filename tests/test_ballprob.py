@@ -87,6 +87,7 @@ class TestClosedForm:
     def test_saturates_at_large_radius(self):
         assert ballprob.ball_prob(5.0, 3, 1e8) == pytest.approx(1.0, abs=1e-12)
         assert ballprob.ball_prob(math.inf, 2, 40.0) == pytest.approx(1.0, abs=1e-12)
+        assert ballprob.ball_prob(math.inf, 1, 1e150) == 1.0
 
     def test_monotone_in_radius(self):
         for nu, k in [(1.0, 1), (2.0, 3), (10.0, 4), (math.inf, 2)]:

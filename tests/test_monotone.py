@@ -111,6 +111,12 @@ class TestDerivative:
             assert math.copysign(1.0, d) == (1.0 if k <= 2 else -1.0), k
             assert (d == 0.0) == (k == 2 or nu > 1e200), k
 
+    def test_scaled_derivative_within_band(self):
+        # 2g / (k (2-k)), g = nu (nu+k) d/dnu ln c, runs from 1 as nu -> 0 to 1/2 as nu -> inf
+        for nu in (float(f"{m}e{e}") for m in (1, 2.5, 7) for e in range(-300, 301, 3)):
+            for k in (1, 3, 4, 5, 7, 20, 50, 500):
+                assert 0.5 <= monotone._scaled_derivative_sum(nu, k) / (k * (2 - k)) <= 1.0, (nu, k)
+
 
 class TestEvenProduct:
     def test_matches_mode_value(self):

@@ -373,6 +373,35 @@ class TestPolygamma:
                 specfun.polygamma(n, 1.0)
 
 
+PSI_ORDERS = (0, 1, 2, 3, 5, 10, 30, 100, 150, 165)
+
+
+def psi(n: int, x: float) -> float:
+    return specfun.digamma(x) if n == 0 else specfun.polygamma(n, x)
+
+
+class TestPsiFamily:
+    @pytest.mark.parametrize("n", PSI_ORDERS)
+    def test_sweep_against_mpmath(self, n):
+        # the advertised DIGAMMA_ATOL and POLYGAMMA_ATOL, on x log-uniform over [1e-3, 1e5]
+        rng = random.Random(n)
+        with mp.workdps(60):
+            for x in (10.0 ** rng.uniform(-3.0, 5.0) for _ in range(80)):
+                want = mp.digamma(x) if n == 0 else mp.polygamma(n, x)
+                got = psi(n, x)
+                if math.isinf(float(want)):
+                    assert got == float(want), x
+                else:
+                    assert abs(mp.mpf(got) - want) <= 5e-15 * max(1, abs(want)), x
+
+    @pytest.mark.parametrize("n,x", [(1, 1e300), (3, 1e100), (150, 1e3), (160, 100.0), (165, 72.5), (165, 500.0)])
+    def test_powers_past_the_double_range(self, n, x):
+        # y^n or a shift term's (x+j)^(n+1) overflows while the value does not
+        with mp.workdps(60):
+            want = float(mp.polygamma(n, x))
+        assert specfun.polygamma(n, x) == pytest.approx(want, rel=5e-15, abs=0.0)
+
+
 class TestRegIncBeta:
     @pytest.mark.parametrize("a,b,x,want", REG_INC_BETA_REFS)
     def test_frozen_references(self, a, b, x, want):
@@ -470,6 +499,11 @@ class TestRegLowerIncGamma:
             specfun.reg_lower_inc_gamma(1.0, -0.5)
         with pytest.raises(errors.DomainError):
             specfun.reg_lower_inc_gamma(1.0, math.nan)
+
+    @pytest.mark.parametrize("a,x", [(0.5, 3e19), (250.0, 3e16)])
+    def test_underflowed_front_gives_one(self, a, x):
+        # the continued fraction used to stall here instead of converging
+        assert specfun.reg_lower_inc_gamma(a, x) == 1.0
 
     def test_nonconvergence_is_typed(self):
         # the series needs about sqrt(a) terms here; it used to stop early
