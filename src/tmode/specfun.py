@@ -225,8 +225,7 @@ def polygamma(n: int, x: float) -> float:
     which is from 16.6 on for trigamma and from 470 on at order 165.
     Against 60-digit references the error is below 1e-15 * max(1, |value|)
     for x in [1e-3, 1e5]. Values past the double range saturate to
-    +/-inf. Above order 165 the summed powers themselves leave the double
-    range, so those orders raise DomainError.
+    +/-inf. Orders above 165 raise DomainError.
     """
     n = _require_count(n, "derivative order", 1)
     if n > 165:
