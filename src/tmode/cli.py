@@ -11,18 +11,18 @@ from the environment.
 Degrees of freedom are spelled "inf" for the Gaussian member. Numbers
 print with 6 significant digits unless --precision full is given.
 
-numpy is imported only for Monte Carlo (sample and table1 --n-mc), so
-every other command starts without paying for it.
+numpy is imported only for Monte Carlo (sample and table1 --n-mc), and
+json only under --format json, so every other command starts without
+paying for them. The parser is the standard library's argparse, built
+once per process.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
-import json
 import math
 import sys
-
-import click
 
 from . import __version__, ballprob, monotone, tdist
 from .errors import ConvergenceError, DimensionMismatchError, DomainError, MomentExistenceError
@@ -33,6 +33,10 @@ SCHEMA_VERSION = "1"
 DEFAULT_FIGURE_GRID = (0.1, 30.0, 200)
 
 _DOMAIN_ERRORS = (DomainError, DimensionMismatchError, MomentExistenceError)
+
+
+class UsageError(Exception):
+    """A command line the commands cannot run; exits 2 with the usage and a one-line message."""
 
 
 def _format_number(value: float, precision: str) -> str:
@@ -73,6 +77,8 @@ def emit(fmt: str, path: str, command: str, header: list[str], rows: list[list],
             writer.writerow([_cell_csv(v, precision) for v in row])
         text = buf.getvalue()
     else:
+        import json
+
         obj = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
@@ -88,7 +94,7 @@ def emit(fmt: str, path: str, command: str, header: list[str], rows: list[list],
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise click.UsageError(f"cannot write --output {path!r}: {exc.strerror}") from None
+        raise UsageError(f"cannot write --output {path!r}: {exc.strerror}") from None
     with fh:
         fh.write(text)
 
@@ -99,7 +105,7 @@ def _parse_range(text: str, name: str, spelling: str) -> tuple[float, float, int
         a, b, n = text.split(":")
         return float(a), float(b), int(n)
     except ValueError:
-        raise click.UsageError(f"{name} must look like {spelling}, got {text!r}") from None
+        raise UsageError(f"{name} must look like {spelling}, got {text!r}") from None
 
 
 def _linspace(a: float, b: float, n: int) -> list[float]:
@@ -115,66 +121,54 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
 def _parse_grid(text: str, log: bool) -> list[float] | tuple[float, ...]:
     start, stop, count = _parse_range(text, "grid", "start:stop:count")
     if not (0.0 < start < stop) or not math.isfinite(stop):
-        raise click.UsageError(f"grid endpoints must satisfy 0 < start < stop, got {text!r}")
+        raise UsageError(f"grid endpoints must satisfy 0 < start < stop, got {text!r}")
     if count < 2:
-        raise click.UsageError(f"grid needs at least 2 points, got {count}")
+        raise UsageError(f"grid needs at least 2 points, got {count}")
     return monotone.default_nu_grid(start, stop, count) if log else _linspace(start, stop, count)
 
 
-def _table(fn):
-    """Turn fn, which maps a command's own options to (header, rows,
-    problems), into a command body with the shared output options.
+# subcommand name -> (body, options); the body maps its own options to
+# (header, rows, problems), and each option is (flag, add_argument keywords)
+_COMMANDS: dict = {}
 
-    The body emits the table under the command's name, writes each problem
-    to stderr, and exits 1 if there is any. A library domain error exits
-    2 and non-convergence exits 1, each as a one-line message.
-    """
-
-    @functools.wraps(fn)
-    def command(fmt, output, precision, **options):
-        try:
-            header, rows, problems = fn(**options)
-        except _DOMAIN_ERRORS as exc:
-            raise click.UsageError(str(exc)) from exc
-        except ConvergenceError as exc:
-            raise click.ClickException(str(exc)) from exc
-        emit(fmt, output, click.get_current_context().command.name, header, rows, precision)
-        for line in problems:
-            click.echo(line, err=True)
-        if problems:
-            raise click.exceptions.Exit(1)
-
-    command = click.option(
-        "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", help="Output format."
-    )(command)
-    command = click.option("--output", default="-", help="Output path, - for stdout.")(command)
-    return click.option(
+# output options every subcommand takes
+_SHARED_OPTIONS = (
+    ("--format", dict(dest="fmt", choices=["csv", "json"], default="csv", help="Output format.")),
+    ("--output", dict(default="-", help="Output path, - for stdout.")),
+    (
         "--precision",
-        type=click.Choice(["sig6", "full"]),
-        default="sig6",
-        help="sig6 prints 6 significant digits; full prints shortest round-trip.",
-    )(command)
+        dict(
+            choices=["sig6", "full"],
+            default="sig6",
+            help="sig6 prints 6 significant digits; full prints shortest round-trip.",
+        ),
+    ),
+)
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Mode values, ball probabilities and radial moments of isotropic
-    multivariate Student t distributions."""
+def _command(name: str, *options: tuple[str, dict]):
+    """Register the decorated body as subcommand name with these options."""
+
+    def register(fn):
+        _COMMANDS[name] = (fn, options + _SHARED_OPTIONS)
+        return fn
+
+    return register
 
 
-@main.command("mode-value")
-@click.option("--k", required=True, type=int, help="Dimension.")
-@click.option("--nu", "nu_text", default=None, help='Single degrees of freedom ("inf" allowed).')
-@click.option("--grid", "grid_text", default=None, help="start:stop:count over degrees of freedom.")
-@click.option("--log", "log_spaced", is_flag=True, help="Log-space the grid.")
-@_table
+@_command(
+    "mode-value",
+    ("--k", dict(required=True, type=int, help="Dimension.")),
+    ("--nu", dict(dest="nu_text", help='Single degrees of freedom ("inf" allowed).')),
+    ("--grid", dict(dest="grid_text", help="start:stop:count over degrees of freedom.")),
+    ("--log", dict(dest="log_spaced", action="store_true", help="Log-space the grid.")),
+)
 def cmd_mode_value(k, nu_text, grid_text, log_spaced):
     """Density value at the mode, for one nu or along a grid."""
     if nu_text is not None and grid_text is not None:
-        raise click.UsageError("give either --nu or --grid, not both")
+        raise UsageError("give either --nu or --grid, not both")
     if log_spaced and grid_text is None:
-        raise click.UsageError("--log only applies to --grid")
+        raise UsageError("--log only applies to --grid")
     if nu_text is not None:
         nus = [tdist.check_dof(nu_text)]
     elif grid_text is not None:
@@ -184,16 +178,17 @@ def cmd_mode_value(k, nu_text, grid_text, log_spaced):
     return ["nu", "mode_value"], [[float(nu), tdist.mode_value(nu, k)] for nu in nus], []
 
 
-@main.command("density-profile")
-@click.option("--k", required=True, type=int, help="Dimension.")
-@click.option("--nu", "nu_text", default="all", help='Degrees of freedom, or "all" for 1, 2, 10, inf.')
-@click.option("--axis-range", "axis_range", default="-5:5:401", help="a:b:n points along the first axis.")
-@_table
+@_command(
+    "density-profile",
+    ("--k", dict(required=True, type=int, help="Dimension.")),
+    ("--nu", dict(dest="nu_text", default="all", help='Degrees of freedom, or "all" for 1, 2, 10, inf.')),
+    ("--axis-range", dict(default="-5:5:401", help="a:b:n points along the first axis.")),
+)
 def cmd_density_profile(k, nu_text, axis_range):
     """Density along the first coordinate axis: rows of (nu, t, density)."""
     lo, hi, n = _parse_range(axis_range, "axis range", "a:b:n")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi) or n < 2:
-        raise click.UsageError(f"axis range needs finite a < b and n >= 2, got {axis_range!r}")
+        raise UsageError(f"axis range needs finite a < b and n >= 2, got {axis_range!r}")
     if nu_text.strip().lower() == "all":
         nus = [1.0, 2.0, 10.0, math.inf]
     else:
@@ -207,10 +202,11 @@ def cmd_density_profile(k, nu_text, axis_range):
     return ["nu", "t", "density"], rows, []
 
 
-@main.command("table1")
-@click.option("--n-mc", "n_mc", default=None, type=int, help="Add Monte Carlo columns with this many draws per row.")
-@click.option("--seed", default=0, type=int, help="Seed for the Monte Carlo columns.")
-@_table
+@_command(
+    "table1",
+    ("--n-mc", dict(type=int, help="Add Monte Carlo columns with this many draws per row.")),
+    ("--seed", dict(default=0, type=int, help="Seed for the Monte Carlo columns.")),
+)
 def cmd_table1(n_mc, seed):
     """Published 4x4 ball-probability table at radius 0.1.
 
@@ -221,7 +217,7 @@ def cmd_table1(n_mc, seed):
     the analytic probability.
     """
     if n_mc is not None and n_mc < 1:
-        raise click.UsageError(f"--n-mc must be a positive integer, got {n_mc}")
+        raise UsageError(f"--n-mc must be a positive integer, got {n_mc}")
     header = ["nu", "k", "analytic", "published", "match"]
     if n_mc is not None:
         header += ["mc_estimate", "mc_std_error", "within_4se"]
@@ -249,11 +245,12 @@ def cmd_table1(n_mc, seed):
     return header, rows, mismatches
 
 
-@main.command("verify")
-@click.option("--k-max", "k_max", required=True, type=int, help="Verify dimensions 1..K (K >= 3).")
-@click.option("--grid", "grid_text", default=None, help="start:stop:count over degrees of freedom.")
-@click.option("--points", default=None, type=int, help="Points in the default grid.")
-@_table
+@_command(
+    "verify",
+    ("--k-max", dict(required=True, type=int, help="Verify dimensions 1..K (K >= 3).")),
+    ("--grid", dict(dest="grid_text", help="start:stop:count over degrees of freedom.")),
+    ("--points", dict(type=int, help="Points in the default grid.")),
+)
 def cmd_verify(k_max, grid_text, points):
     """Check the mode-value monotonicity pattern across dimensions.
 
@@ -263,9 +260,9 @@ def cmd_verify(k_max, grid_text, points):
     induction step for odd k >= 3). Exit 1 on any violation.
     """
     if k_max < 3:
-        raise click.UsageError(f"--k-max must be at least 3 to cover all three regimes, got {k_max}")
+        raise UsageError(f"--k-max must be at least 3 to cover all three regimes, got {k_max}")
     if grid_text is not None and points is not None:
-        raise click.UsageError("give either --grid or --points, not both")
+        raise UsageError("give either --grid or --points, not both")
     if grid_text is not None:
         grid = _parse_grid(grid_text, log=True)
     else:
@@ -278,12 +275,13 @@ def cmd_verify(k_max, grid_text, points):
     return list(monotone.VERIFY_COLUMNS), rows, problems
 
 
-@main.command("moments")
-@click.option("--nu1", "nu1_text", required=True, help="First degrees of freedom.")
-@click.option("--nu2", "nu2_text", required=True, help="Second degrees of freedom.")
-@click.option("--k", required=True, type=int, help="Dimension for the headline row.")
-@click.option("--m", required=True, type=float, help="Moment order.")
-@_table
+@_command(
+    "moments",
+    ("--nu1", dict(dest="nu1_text", required=True, help="First degrees of freedom.")),
+    ("--nu2", dict(dest="nu2_text", required=True, help="Second degrees of freedom.")),
+    ("--k", dict(required=True, type=int, help="Dimension for the headline row.")),
+    ("--m", dict(required=True, type=float, help="Moment order.")),
+)
 def cmd_moments(nu1_text, nu2_text, k, m):
     """Radial-moment ratio with a dimension-independence sweep.
 
@@ -303,13 +301,14 @@ def cmd_moments(nu1_text, nu2_text, k, m):
     return ["k", "moment_ratio", "kurtosis_ratio"], rows, []
 
 
-@main.command("sample")
-@click.option("--nu", "nu_text", required=True, help='Degrees of freedom ("inf" allowed).')
-@click.option("--k", required=True, type=int, help="Dimension.")
-@click.option("--n", default=100000, type=int, help="Number of draws.")
-@click.option("--seed", default=0, type=int, help="Stream seed; same seed, same draws.")
-@click.option("--radius", "radii", multiple=True, type=float, help="Ball radius (repeatable; default 0.1).")
-@_table
+@_command(
+    "sample",
+    ("--nu", dict(dest="nu_text", required=True, help='Degrees of freedom ("inf" allowed).')),
+    ("--k", dict(required=True, type=int, help="Dimension.")),
+    ("--n", dict(default=100000, type=int, help="Number of draws.")),
+    ("--seed", dict(default=0, type=int, help="Stream seed; same seed, same draws.")),
+    ("--radius", dict(dest="radii", action="append", type=float, help="Ball radius (repeatable; default 0.1).")),
+)
 def cmd_sample(nu_text, k, n, seed, radii):
     """Monte Carlo ball-probability estimates against the closed form.
 
@@ -331,6 +330,85 @@ def cmd_sample(nu_text, k, n, seed, radii):
             z = 0.0 if est == analytic else math.inf
         rows.append([float(nu), k, n, seed, float(r), est, se, analytic, z])
     return ["nu", "k", "n", "seed", "radius", "estimate", "std_error", "analytic", "z"], rows, []
+
+
+DESCRIPTION = "Mode values, ball probabilities and radial moments of isotropic multivariate Student t distributions."
+
+# a fixed help width, so that help text does not depend on the terminal
+_HelpFormatter = functools.partial(argparse.HelpFormatter, width=80)
+
+# options that take a value, in every subcommand
+_VALUE_OPTIONS = frozenset(
+    flag for _, options in _COMMANDS.values() for flag, spec in options if spec.get("action") != "store_true"
+)
+
+
+@functools.cache
+def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommand parsers by name."""
+    common = dict(allow_abbrev=False, formatter_class=_HelpFormatter)
+    parser = argparse.ArgumentParser(prog=prog, description=DESCRIPTION, **common)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (fn, options) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=fn.__doc__.partition("\n")[0], description=fn.__doc__, **common)
+        for flag, spec in options:
+            if flag in _VALUE_OPTIONS and "choices" not in spec:
+                spec = {"metavar": flag[2:].upper(), **spec}
+            sub.add_argument(flag, **spec)
+    return parser, subparsers.choices
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Spell each option that takes a value as --option=value.
+
+    argparse reads a value that starts with "-" but is not a plain
+    negative number, such as the range in --axis-range -3:4:101, as an
+    option of its own; attached, it stays the option's value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _VALUE_OPTIONS:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def main(args: list[str] | None = None, prog_name: str = "tmode", standalone_mode: bool = True) -> int:
+    """Run one command line (default sys.argv[1:]) and return its exit code.
+
+    The command emits its table, writes each problem it found to stderr
+    and exits 1 if there is any. A usage or library domain error exits 2
+    with the subcommand's usage and a one-line message on stderr, and
+    non-convergence exits 1 with a one-line message. With
+    standalone_mode the process exits with the code instead.
+    """
+    parser, subparsers = _parser(prog_name)
+    try:
+        options = vars(parser.parse_args(_attach_values(sys.argv[1:] if args is None else list(args))))
+        command, fmt, output, precision = (options.pop(key) for key in ("command", "fmt", "output", "precision"))
+        try:
+            header, rows, problems = _COMMANDS[command][0](**options)
+            emit(fmt, output, command, header, rows, precision)
+        except (UsageError, *_DOMAIN_ERRORS) as exc:
+            subparsers[command].error(str(exc))
+        code = 1 if problems else 0
+        for line in problems:
+            print(line, file=sys.stderr)
+    except ConvergenceError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        code = 1
+    except SystemExit as exc:  # argparse exits 0 after --help and --version, 2 on a usage error
+        code = exc.code
+    if standalone_mode:
+        sys.exit(code)
+    return code
+
+
+# perfbench's in-process CLI ops call click's API, cli.main.main(args=...,
+# prog_name="tmode", standalone_mode=False); this keeps that call working
+main.main = main
 
 
 if __name__ == "__main__":

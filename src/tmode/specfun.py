@@ -238,12 +238,12 @@ def polygamma(n: int, x: float) -> float:
 _TINY = 1e-300
 
 
-def _lentz(d: float, c: float, steps) -> float:
+def _lentz(d: float, c: float, steps) -> tuple[float, int]:
     # Modified Lentz evaluation (Lentz 1976; Thompson & Barnett 1986) of
     # the continued fraction 1/(d + a_1/(b_1 + a_2/(b_2 + ...))), with c
     # the starting value of the C_j ratios. steps yields one group of
     # (a_j, b_j) pairs per iteration; it stops at the first group whose last
-    # step leaves h unchanged.
+    # step leaves h unchanged and returns h with the iterations it took.
     if abs(d) < _TINY:
         d = _TINY
     d = 1.0 / d
@@ -260,7 +260,7 @@ def _lentz(d: float, c: float, steps) -> float:
             delta = d * c
             h *= delta
         if delta == 1.0:
-            return h
+            return h, iterations
     raise ConvergenceError(
         f"continued fraction not converged after {iterations} iterations",
         best_estimate=h,
@@ -292,6 +292,8 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     fraction always runs in its fast-convergence region. The front factor
     x^a (1-x)^b Gamma(a+b) / (Gamma(a) Gamma(b)) takes its Gamma quotient
     from log_gamma_ratio and each logarithm from the smaller of x and 1 - x.
+    A front factor past the double range raises ConvergenceError with the
+    fraction's value and iteration count.
     """
     a = _require_positive(a, "a")
     b = _require_positive(b, "b")
@@ -322,8 +324,16 @@ def _reg_inc_beta(a: float, b: float, x: float, y: float) -> float:
     if rest + q * math.log1p(q / p) < -750.0:
         value = 0.0
     else:
-        front = math.exp(log_gamma_ratio(p, q) + rest)
-        value = front * _lentz(1.0 - (a + b) * x / (a + 1.0), 1.0, _beta_steps(a, b, x)) / a
+        fraction, iterations = _lentz(1.0 - (a + b) * x / (a + 1.0), 1.0, _beta_steps(a, b, x))
+        try:
+            front = math.exp(log_gamma_ratio(p, q) + rest)
+        except OverflowError:
+            raise ConvergenceError(
+                f"incomplete beta front factor overflows at a={a}, b={b}, x={x}",
+                best_estimate=fraction,
+                iterations=iterations,
+            ) from None
+        value = front * fraction / a
     return 1.0 - value if flip else value
 
 
@@ -364,4 +374,5 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
     if x < a + 1.0:
         return _lower_gamma_series(a, x, front)
     b = x + 1.0 - a
-    return 1.0 - _lentz(b, 1.0 / _TINY, _upper_gamma_steps(a, b)) * front
+    fraction, _ = _lentz(b, 1.0 / _TINY, _upper_gamma_steps(a, b))
+    return 1.0 - fraction * front

@@ -9,10 +9,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +20,22 @@ from tmode import ballprob, cli, monotone, tdist
 from tmode.errors import MonotonicityViolationError
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+class Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def invoke(args: list[str]) -> Result:
+    """Run one command line in this process, capturing stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args, standalone_mode=False)
+    return Result(code, out.getvalue(), err.getvalue())
 
 
 def parse_csv(text: str):
@@ -31,52 +44,48 @@ def parse_csv(text: str):
 
 
 class TestModeValue:
-    def test_single_value(self, runner):
-        result = runner.invoke(cli.main, ["mode-value", "--k", "2", "--nu", "7"])
+    def test_single_value(self):
+        result = invoke(["mode-value", "--k", "2", "--nu", "7"])
         assert result.exit_code == 0
         header, rows = parse_csv(result.output)
         assert header == ["nu", "mode_value"]
         assert len(rows) == 1
         assert float(rows[0][1]) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-5)
 
-    def test_log_grid_increasing_on_the_line(self, runner):
-        result = runner.invoke(
-            cli.main, ["mode-value", "--k", "1", "--grid", "0.1:100:50", "--log", "--precision", "full"]
-        )
+    def test_log_grid_increasing_on_the_line(self):
+        result = invoke(["mode-value", "--k", "1", "--grid", "0.1:100:50", "--log", "--precision", "full"])
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         assert len(rows) == 50
         values = [float(r[1]) for r in rows]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_log_grid_decreasing_in_dimension_four(self, runner):
-        result = runner.invoke(
-            cli.main, ["mode-value", "--k", "4", "--grid", "0.1:100:50", "--log", "--precision", "full"]
-        )
+    def test_log_grid_decreasing_in_dimension_four(self):
+        result = invoke(["mode-value", "--k", "4", "--grid", "0.1:100:50", "--log", "--precision", "full"])
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         values = [float(r[1]) for r in rows]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_default_grid_size(self, runner):
-        result = runner.invoke(cli.main, ["mode-value", "--k", "3"])
+    def test_default_grid_size(self):
+        result = invoke(["mode-value", "--k", "3"])
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         assert len(rows) == 200
 
-    def test_gaussian_spelling(self, runner):
-        result = runner.invoke(cli.main, ["mode-value", "--k", "1", "--nu", "inf", "--precision", "full"])
+    def test_gaussian_spelling(self):
+        result = invoke(["mode-value", "--k", "1", "--nu", "inf", "--precision", "full"])
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         assert rows[0][0] == "inf"
         assert float(rows[0][1]) == pytest.approx((2.0 * math.pi) ** -0.5, rel=1e-14)
         for spelling in ("Infinity", " INF "):
-            other = runner.invoke(cli.main, ["mode-value", "--k", "1", "--nu", spelling, "--precision", "full"])
+            other = invoke(["mode-value", "--k", "1", "--nu", spelling, "--precision", "full"])
             assert other.exit_code == 0
             assert other.output == result.output
 
-    def test_json_schema(self, runner):
-        result = runner.invoke(cli.main, ["mode-value", "--k", "2", "--nu", "inf", "--format", "json"])
+    def test_json_schema(self):
+        result = invoke(["mode-value", "--k", "2", "--nu", "inf", "--format", "json"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["schema_version"] == "1"
@@ -84,10 +93,8 @@ class TestModeValue:
         assert doc["rows"][0]["nu"] == "inf"
         assert isinstance(doc["rows"][0]["mode_value"], float)
 
-    def test_full_precision_round_trips(self, runner):
-        result = runner.invoke(
-            cli.main, ["mode-value", "--k", "2", "--nu", "7", "--precision", "full"]
-        )
+    def test_full_precision_round_trips(self):
+        result = invoke(["mode-value", "--k", "2", "--nu", "7", "--precision", "full"])
         _, rows = parse_csv(result.output)
         assert float(rows[0][1]) == tdist.mode_value(7.0, 2)
 
@@ -108,57 +115,61 @@ class TestModeValue:
             ["verify", "--k-max", "3", "--grid", "0.1:10:5", "--points", "7"],
             # an --output path whose directory is a file
             ["mode-value", "--k", "1", "--nu", "3", "--output", str(Path(__file__) / "x.csv")],
+            ["mode-value", "--k", "1", "--nu", "3", "--frobnicate"],
+            # options are spelled out in full, never abbreviated
+            ["mode-value", "--k", "1", "--nu", "3", "--prec", "full"],
         ],
     )
-    def test_usage_errors(self, runner, args):
-        result = runner.invoke(cli.main, args)
+    def test_usage_errors(self, args):
+        result = invoke(args)
         assert result.exit_code == 2
 
 
 class TestDensityProfile:
-    def test_all_members(self, runner):
-        result = runner.invoke(
-            cli.main, ["density-profile", "--k", "1", "--axis-range", "-1:1:5"]
-        )
+    def test_all_members(self):
+        result = invoke(["density-profile", "--k", "1", "--axis-range", "-1:1:5"])
         assert result.exit_code == 0
         header, rows = parse_csv(result.output)
         assert header == ["nu", "t", "density"]
         assert len(rows) == 4 * 5
         assert {r[0] for r in rows} == {"1", "2", "10", "inf"}
 
-    def test_cauchy_center_value(self, runner):
-        result = runner.invoke(
-            cli.main,
-            ["density-profile", "--k", "1", "--nu", "1", "--axis-range", "0:1:2", "--precision", "full"],
-        )
+    def test_cauchy_center_value(self):
+        result = invoke(["density-profile", "--k", "1", "--nu", "1", "--axis-range", "0:1:2", "--precision", "full"])
         _, rows = parse_csv(result.output)
         assert float(rows[0][2]) == pytest.approx(1.0 / math.pi, rel=1e-14)
 
-    def test_peak_ordering_flips_in_dimension_three(self, runner):
-        result = runner.invoke(
-            cli.main, ["density-profile", "--k", "3", "--axis-range", "0:1:2", "--precision", "full"]
-        )
+    def test_peak_ordering_flips_in_dimension_three(self):
+        result = invoke(["density-profile", "--k", "3", "--axis-range", "0:1:2", "--precision", "full"])
         _, rows = parse_csv(result.output)
         at_zero = {r[0]: float(r[2]) for r in rows if float(r[1]) == 0.0}
         assert at_zero["1.0"] > at_zero["2.0"] > at_zero["10.0"] > at_zero["inf"]
 
-    def test_bad_range(self, runner):
+    def test_range_starting_with_minus(self):
+        # a value after a space is the option's value even when it starts
+        # with "-"; the golden replay pins the bytes of the spaced form
+        spaced = invoke(["density-profile", "--k", "2", "--axis-range", "-3:4:101"])
+        attached = invoke(["density-profile", "--k", "2", "--axis-range=-3:4:101"])
+        assert spaced.exit_code == attached.exit_code == 0
+        assert attached.stdout == spaced.stdout
+
+    def test_bad_range(self):
         for bad in ("1:0:5", "0:1:1", "x:1:5", "0:1", "0:1:2:3", "0:inf:5"):
-            result = runner.invoke(cli.main, ["density-profile", "--k", "1", "--axis-range", bad])
+            result = invoke(["density-profile", "--k", "1", "--axis-range", bad])
             assert result.exit_code == 2
 
 
 class TestTable1:
-    def test_default_run_matches_published(self, runner):
-        result = runner.invoke(cli.main, ["table1"])
+    def test_default_run_matches_published(self):
+        result = invoke(["table1"])
         assert result.exit_code == 0
         header, rows = parse_csv(result.output)
         assert header == ["nu", "k", "analytic", "published", "match"]
         assert len(rows) == 16
         assert all(r[4] == "true" for r in rows)
 
-    def test_json_variant(self, runner):
-        result = runner.invoke(cli.main, ["table1", "--format", "json"])
+    def test_json_variant(self):
+        result = invoke(["table1", "--format", "json"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert doc["command"] == "table1"
@@ -167,28 +178,28 @@ class TestTable1:
         gauss = [row for row in doc["rows"] if row["nu"] == "inf"]
         assert len(gauss) == 4
 
-    def test_monte_carlo_columns(self, runner):
-        result = runner.invoke(cli.main, ["table1", "--n-mc", "200000", "--seed", "42"])
+    def test_monte_carlo_columns(self):
+        result = invoke(["table1", "--n-mc", "200000", "--seed", "42"])
         assert result.exit_code == 0
         header, rows = parse_csv(result.output)
         assert header[-3:] == ["mc_estimate", "mc_std_error", "within_4se"]
         assert all(r[-1] == "true" for r in rows)
 
-    def test_byte_identical_reruns(self, runner):
+    def test_byte_identical_reruns(self):
         args = ["table1", "--n-mc", "50000", "--seed", "9", "--format", "json"]
-        first = runner.invoke(cli.main, args)
-        second = runner.invoke(cli.main, args)
+        first = invoke(args)
+        second = invoke(args)
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
 
-    def test_bad_mc_size(self, runner):
-        result = runner.invoke(cli.main, ["table1", "--n-mc", "0"])
+    def test_bad_mc_size(self):
+        result = invoke(["table1", "--n-mc", "0"])
         assert result.exit_code == 2
 
 
 class TestVerify:
-    def test_passes_with_headroom(self, runner):
-        result = runner.invoke(cli.main, ["verify", "--k-max", "6", "--points", "50"])
+    def test_passes_with_headroom(self):
+        result = invoke(["verify", "--k-max", "6", "--points", "50"])
         assert result.exit_code == 0
         header, rows = parse_csv(result.output)
         assert header == ["k", "expected", "classification", "max_fd_residual", "aux_check", "ok"]
@@ -197,14 +208,12 @@ class TestVerify:
         assert all(r[5] == "true" for r in rows)
         assert all(float(r[3]) <= 1e-5 for r in rows)
 
-    def test_requires_three_dimensions(self, runner):
-        result = runner.invoke(cli.main, ["verify", "--k-max", "2"])
+    def test_requires_three_dimensions(self):
+        result = invoke(["verify", "--k-max", "2"])
         assert result.exit_code == 2
 
-    def test_json_variant(self, runner):
-        result = runner.invoke(
-            cli.main, ["verify", "--k-max", "3", "--points", "40", "--format", "json"]
-        )
+    def test_json_variant(self):
+        result = invoke(["verify", "--k-max", "3", "--points", "40", "--format", "json"])
         assert result.exit_code == 0
         doc = json.loads(result.output)
         assert [row["classification"] for row in doc["rows"]] == [
@@ -237,9 +246,9 @@ class TestExitOne:
         ],
         ids=["mixed-signs", "product", "induction", "classified", "table1"],
     )
-    def test_problem_exits_1(self, runner, monkeypatch, module, name, fake, args, first_problem):
+    def test_problem_exits_1(self, monkeypatch, module, name, fake, args, first_problem):
         monkeypatch.setattr(module, name, fake)
-        result = runner.invoke(cli.main, args)
+        result = invoke(args)
         assert result.exit_code == 1
         header, rows = parse_csv(result.stdout)
         assert header[-1] in ("ok", "match")
@@ -253,11 +262,8 @@ class TestExitOne:
 
 
 class TestMoments:
-    def test_sweep_is_constant(self, runner):
-        result = runner.invoke(
-            cli.main,
-            ["moments", "--nu1", "5", "--nu2", "10", "--k", "3", "--m", "2", "--precision", "full"],
-        )
+    def test_sweep_is_constant(self):
+        result = invoke(["moments", "--nu1", "5", "--nu2", "10", "--k", "3", "--m", "2", "--precision", "full"])
         assert result.exit_code == 0
         header, rows = parse_csv(result.output)
         assert header == ["k", "moment_ratio", "kurtosis_ratio"]
@@ -266,43 +272,33 @@ class TestMoments:
         assert len(ratios) == 1
         assert float(ratios.pop()) == pytest.approx(4.0 / 3.0, rel=1e-13)
 
-    def test_same_member_gives_unit_ratio(self, runner):
-        result = runner.invoke(
-            cli.main, ["moments", "--nu1", "6", "--nu2", "6", "--k", "2", "--m", "3", "--precision", "full"]
-        )
+    def test_same_member_gives_unit_ratio(self):
+        result = invoke(["moments", "--nu1", "6", "--nu2", "6", "--k", "2", "--m", "3", "--precision", "full"])
         _, rows = parse_csv(result.output)
         assert all(float(r[1]) == 1.0 for r in rows)
 
-    def test_kurtosis_column_blank_without_fourth_moment(self, runner):
-        result = runner.invoke(
-            cli.main, ["moments", "--nu1", "3.5", "--nu2", "10", "--k", "1", "--m", "2"]
-        )
+    def test_kurtosis_column_blank_without_fourth_moment(self):
+        result = invoke(["moments", "--nu1", "3.5", "--nu2", "10", "--k", "1", "--m", "2"])
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         assert all(r[2] == "" for r in rows)
 
-    def test_existence_violation_is_usage_error(self, runner):
-        result = runner.invoke(
-            cli.main, ["moments", "--nu1", "5", "--nu2", "10", "--k", "1", "--m", "6"]
-        )
+    def test_existence_violation_is_usage_error(self):
+        result = invoke(["moments", "--nu1", "5", "--nu2", "10", "--k", "1", "--m", "6"])
         assert result.exit_code == 2
         assert "exist" in result.output
 
-    def test_gaussian_member_allowed(self, runner):
-        result = runner.invoke(
-            cli.main,
-            ["moments", "--nu1", "inf", "--nu2", "5", "--k", "2", "--m", "2", "--precision", "full"],
-        )
+    def test_gaussian_member_allowed(self):
+        result = invoke(["moments", "--nu1", "inf", "--nu2", "5", "--k", "2", "--m", "2", "--precision", "full"])
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         assert float(rows[0][1]) == pytest.approx(3.0 / 5.0, rel=1e-13)
 
 
 class TestSample:
-    def test_estimate_close_to_analytic(self, runner):
-        result = runner.invoke(
-            cli.main,
-            ["sample", "--nu", "10", "--k", "2", "--n", "100000", "--seed", "4", "--radius", "1.0", "--precision", "full"],
+    def test_estimate_close_to_analytic(self):
+        result = invoke(
+            ["sample", "--nu", "10", "--k", "2", "--n", "100000", "--seed", "4", "--radius", "1.0", "--precision", "full"]
         )
         assert result.exit_code == 0
         header, rows = parse_csv(result.output)
@@ -310,42 +306,42 @@ class TestSample:
         assert len(rows) == 1
         assert abs(float(rows[0][8])) < 4.0
 
-    def test_multiple_radii(self, runner):
-        result = runner.invoke(
-            cli.main,
-            ["sample", "--nu", "2", "--k", "1", "--n", "20000", "--seed", "1", "--radius", "0.5", "--radius", "2.0"],
+    def test_multiple_radii(self):
+        result = invoke(
+            ["sample", "--nu", "2", "--k", "1", "--n", "20000", "--seed", "1", "--radius", "0.5", "--radius", "2.0"]
         )
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         assert [r[4] for r in rows] == ["0.5", "2"]
 
-    def test_deterministic_output(self, runner):
-        args = ["sample", "--nu", "3", "--k", "2", "--n", "30000", "--seed", "12"]
-        assert runner.invoke(cli.main, args).output == runner.invoke(cli.main, args).output
+    def test_radii_keep_their_order(self):
+        result = invoke(["sample", "--nu", "2", "--k", "1", "--n", "100", "--radius", "2.0", "--radius", "0.5"])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        assert [r[4] for r in rows] == ["2", "0.5"]
 
-    def test_writes_file(self, runner, tmp_path):
+    def test_deterministic_output(self):
+        args = ["sample", "--nu", "3", "--k", "2", "--n", "30000", "--seed", "12"]
+        assert invoke(args).output == invoke(args).output
+
+    def test_writes_file(self, tmp_path):
         out = tmp_path / "draws.csv"
-        result = runner.invoke(
-            cli.main,
-            ["sample", "--nu", "5", "--k", "1", "--n", "1000", "--seed", "0", "--output", str(out)],
-        )
+        result = invoke(["sample", "--nu", "5", "--k", "1", "--n", "1000", "--seed", "0", "--output", str(out)])
         assert result.exit_code == 0
         assert result.output == ""
         text = out.read_text(encoding="utf-8")
         assert text.startswith("nu,k,n,seed,radius")
         assert "\r" not in text
 
-    def test_domain_errors(self, runner):
-        result = runner.invoke(cli.main, ["sample", "--nu", "0", "--k", "2", "--n", "10", "--seed", "0"])
+    def test_domain_errors(self):
+        result = invoke(["sample", "--nu", "0", "--k", "2", "--n", "10", "--seed", "0"])
         assert result.exit_code == 2
-        result = runner.invoke(cli.main, ["sample", "--nu", "3", "--k", "2", "--n", "10", "--seed", "0", "--radius", "-1"])
+        result = invoke(["sample", "--nu", "3", "--k", "2", "--n", "10", "--seed", "0", "--radius", "-1"])
         assert result.exit_code == 2
 
-    def test_smallest_subnormal_nu(self, runner):
+    def test_smallest_subnormal_nu(self):
         # nu/2 underflows to 0; every draw is infinite, so nothing is in the ball
-        result = runner.invoke(
-            cli.main, ["sample", "--nu", "5e-324", "--k", "2", "--n", "100", "--seed", "1", "--radius", "0.5"]
-        )
+        result = invoke(["sample", "--nu", "5e-324", "--k", "2", "--n", "100", "--seed", "1", "--radius", "0.5"])
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         assert float(rows[0][5]) == 0.0
@@ -362,11 +358,9 @@ class TestSample:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
-    def test_nonconvergence_is_one_line_error(self, runner):
+    def test_nonconvergence_is_one_line_error(self):
         # ball_prob(1e300, 2, 5) runs out of continued-fraction iterations
-        result = runner.invoke(
-            cli.main, ["sample", "--nu", "1e300", "--k", "2", "--n", "100", "--seed", "0", "--radius", "5"]
-        )
+        result = invoke(["sample", "--nu", "1e300", "--k", "2", "--n", "100", "--seed", "0", "--radius", "5"])
         assert result.exit_code == 1
         assert result.output.startswith("Error: continued fraction not converged")
         assert result.output.count("\n") == 1
@@ -390,29 +384,34 @@ class TestGrids:
 
 
 class TestFormatting:
-    def test_version(self, runner):
-        result = runner.invoke(cli.main, ["--version"])
+    def test_version(self):
+        result = invoke(["--version"])
         assert result.exit_code == 0
         assert result.output.rstrip().endswith("version 0.1.0")
 
-    def test_csv_uses_lf_only(self, runner):
-        result = runner.invoke(cli.main, ["table1"])
+    def test_csv_uses_lf_only(self):
+        result = invoke(["table1"])
         assert "\r" not in result.output
 
-    def test_unknown_format_rejected(self, runner):
-        result = runner.invoke(cli.main, ["table1", "--format", "xml"])
+    def test_unknown_format_rejected(self):
+        result = invoke(["table1", "--format", "xml"])
         assert result.exit_code == 2
 
-    def test_unknown_command_rejected(self, runner):
-        result = runner.invoke(cli.main, ["frobnicate"])
+    def test_unknown_command_rejected(self):
+        result = invoke(["frobnicate"])
         assert result.exit_code == 2
+
+    def test_standalone_mode_exits_with_the_code(self):
+        with pytest.raises(SystemExit) as info, contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["verify", "--k-max", "2"])
+        assert info.value.code == 2
 
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
 
 def _capture(args: list[str]) -> dict:
-    result = CliRunner().invoke(cli.main, args)
+    result = invoke(args)
     return {"args": args, "exit_code": result.exit_code, "stdout": result.stdout, "stderr": result.stderr}
 
 

@@ -2,7 +2,7 @@
 `import tmode` does not load dataclasses either. Log-spaced grids are built
 without numpy, so their printed bytes do not depend on its CPU dispatch."""
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -17,20 +17,24 @@ SRC = Path(tmode.__file__).resolve().parent.parent
 
 MCORACLE_NAMES = ("SampleBatch", "SplitMix64", "estimate_ball_prob", "estimate_ball_prob_prefixes", "sample_t")
 
-# Runs in a fresh interpreter; prints, after each step, whether numpy is
-# loaded, and after `import tmode` also whether dataclasses is.
+# Runs in a fresh interpreter, one command per argument; prints, after
+# each step, whether numpy is loaded, after `import tmode` also whether
+# dataclasses is, and last which of json and click are. It imports json
+# itself for neither its input nor its output.
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
+def late():
+    return [name for name in ("json", "click") if name in sys.modules]
 seen = []
 import tmode
-seen.append(["import tmode", "numpy" in sys.modules, "dataclasses" in sys.modules])
+seen.append(["import tmode", "numpy" in sys.modules, "dataclasses" in sys.modules, late()])
 import tmode.cli
-seen.append(["import tmode.cli", "numpy" in sys.modules])
-for argv in json.loads(sys.argv[1]):
+seen.append(["import tmode.cli", "numpy" in sys.modules, late()])
+for line in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = tmode.cli.main.main(args=argv, prog_name="tmode", standalone_mode=False)
-    seen.append([" ".join(argv), "numpy" in sys.modules, code or 0])
-print(json.dumps(seen))
+        code = tmode.cli.main.main(args=line.split(), prog_name="tmode", standalone_mode=False)
+    seen.append([line, "numpy" in sys.modules, code or 0, late()])
+print(repr(seen))
 """
 
 NUMPY_FREE = [
@@ -55,13 +59,13 @@ LOG_GRID_COMMANDS = [
 def probe(commands):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        [sys.executable, "-c", PROBE, *(" ".join(argv) for argv in commands)],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    return json.loads(proc.stdout)
+    return ast.literal_eval(proc.stdout)
 
 
 def test_numpy_free_commands_never_load_numpy():
@@ -70,11 +74,19 @@ def test_numpy_free_commands_never_load_numpy():
     assert [step for step in seen if step[1]] == []
     assert seen[0][2] is False, "import tmode loaded dataclasses"
     assert all(step[2] == 0 for step in seen[2:])
+    # click is gone, and every command here prints CSV, which needs no json
+    assert [step[-1] for step in seen] == [[]] * len(seen)
+
+
+def test_json_loads_only_for_json_output():
+    seen = probe([["mode-value", "--k", "2", "--nu", "7", "--format", "json"]])
+    assert seen[1][-1] == []
+    assert seen[-1][1:] == [False, 0, ["json"]]
 
 
 def test_sample_loads_numpy():
     seen = probe([["sample", "--nu", "3", "--k", "2", "--n", "100", "--seed", "1"]])
-    assert seen[-1][1:] == [True, 0]
+    assert seen[-1][1:3] == [True, 0]
 
 
 def test_monte_carlo_names_resolve_to_mcoracle():

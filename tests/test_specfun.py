@@ -362,7 +362,7 @@ class TestPolygamma:
         for n, x in [(1, 1e300), (3, 1e100), (150, 1e3)]:
             with mp.workdps(40):
                 want = float(mp.polygamma(n, x))
-            assert specfun.polygamma(n, x) == pytest.approx(want, rel=1e-13)
+            assert specfun.polygamma(n, x) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_largest_order(self):
         with mp.workdps(40):
@@ -443,6 +443,25 @@ class TestRegIncBeta:
             specfun.reg_inc_beta(1e6, 1e6, 0.5)
         assert info.value.iterations == 499
         assert math.isfinite(info.value.best_estimate)
+
+    @pytest.mark.parametrize(
+        "a,b,x,converged",
+        [
+            (1e300, 1e300, 0.5, False),
+            (1e200, 1e200, 0.5, False),
+            (1e30, 1e30, 0.5, False),
+            (1e30, 1e30, 0.49999999, True),
+        ],
+    )
+    def test_overflowing_front_factor_is_typed(self, a, b, x, converged):
+        # the fraction runs first; where it converges, the front factor's
+        # overflow is reported with the fraction's value
+        with pytest.raises(errors.ConvergenceError) as info:
+            specfun.reg_inc_beta(a, b, x)
+        assert (info.value.iterations < 499) is converged
+        if converged:
+            assert "front factor" in str(info.value)
+            assert math.isfinite(info.value.best_estimate)
 
     @given(
         st.floats(min_value=0.05, max_value=50.0),
