@@ -55,9 +55,10 @@ class ConvergenceError(RuntimeError):
 class MonotonicityViolationError(RuntimeError):
     """Numerical evidence contradicted the proven monotonicity pattern.
 
-    This is raised when derivative signs on a grid are mixed, or when
-    the odd-dimension induction inequality fails.
-    Either event would indicate a defect in the numerics, so it should
+    This is raised when derivative signs on a grid are mixed, when mode
+    values move against the classified sign, or when the odd-dimension
+    induction inequality fails.
+    Each event would indicate a defect in the numerics, so it should
     never fire in practice.
     """
 

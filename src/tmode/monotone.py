@@ -66,8 +66,9 @@ PRODUCT_RTOL = 1e-12
 # the fields of verify_dimension's row
 VERIFY_COLUMNS = ("k", "expected", "classification", "max_fd_residual", "aux_check", "ok")
 
-# consecutive mode values are compared directly only where they cannot
-# underflow into ties; above this the derivative signs carry the claim
+# up to this nu the central difference of ln c still resolves the sign of
+# its movement, so it must move with the classification; above it the
+# derivative signs alone carry the claim
 _VALUE_CHECK_NU_MAX = 100.0
 
 
@@ -168,32 +169,25 @@ def classify_monotonicity(k: int, grid: Sequence[float] | None = None) -> Monoto
     The grid defaults to default_nu_grid(). Returns a report carrying the
     classification and the worst discrepancy between the analytic
     derivative and a central finite difference of the log mode value
-    (step nu * 1e-6, measured relative to max(1e-8, |derivative|)).
-    The exact signs decide, with no tolerance band: all zero is "constant".
-    Mixed signs raise MonotonicityViolationError listing the (nu,
-    derivative) pairs of nonzero sign; with correct numerics that never
-    happens.
+    (step nu * 1e-6, none where it underflows to 0, measured relative to
+    max(1e-8, |derivative|)). The exact signs decide, with no tolerance
+    band: all zero is "constant". Mixed signs raise
+    MonotonicityViolationError listing the (nu, derivative) pairs of
+    nonzero sign; so does a central difference at nu <= 100 of another
+    sign than the classification (exactly 0 for "constant"), listing the
+    (nu, difference) pairs. With correct numerics neither happens.
     """
     k = check_dim(k)
     vals = default_nu_grid() if grid is None else _validate_grid(grid)
     return _sweep(k, vals)[0]
 
 
-def _sweep(k: int, vals: tuple[float, ...]) -> tuple[MonotonicityReport, array, array]:
+def _sweep(k: int, vals: tuple[float, ...]) -> tuple[MonotonicityReport, array]:
     # classify_monotonicity on a checked grid, also returning for reuse the scaled
-    # derivative sums and the mode values it computed (at a prefix of the grid),
-    # kept as packed doubles so a classification holds no float object per point
+    # derivative sums as packed doubles, so a classification holds no float per point
     sums = array("d")
-    max_residual = 0.0
     for nu in vals:
-        s = _scaled_derivative_sum(nu, k)
-        sums.append(s)
-        d = 0.5 * s / nu / (nu + k)
-        h = nu * FD_STEP_SCALE
-        fd = (log_mode_value(nu + h, k) - log_mode_value(nu - h, k)) / (2.0 * h)
-        residual = abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d))
-        if residual > max_residual:
-            max_residual = residual
+        sums.append(_scaled_derivative_sum(nu, k))
     signs = {(s > 0.0) - (s < 0.0) for s in sums}
     if {1, -1} <= signs:
         raise MonotonicityViolationError(
@@ -204,23 +198,27 @@ def _sweep(k: int, vals: tuple[float, ...]) -> tuple[MonotonicityReport, array, 
     sign = sum(signs)
     classification = ("constant", "increasing", "decreasing")[sign]
 
-    # corroborate with actual value movement where values cannot tie
+    # the central difference of ln c checks the derivative and, where it resolves,
+    # the classified sign; a point whose step underflows to 0 has no difference
+    max_residual = 0.0
     witnesses = []
-    values = array("d", [mode_value(vals[0], k)])
-    for nu_a, nu_b in zip(vals, vals[1:]):
-        if nu_b > _VALUE_CHECK_NU_MAX:
-            break
-        values.append(mode_value(nu_b, k))
-        delta = values[-1] - values[-2]
-        if (delta > 0.0) - (delta < 0.0) != sign:
-            witnesses.append((nu_a, delta))
+    for nu, s in zip(vals, sums):
+        h = nu * FD_STEP_SCALE
+        if not h:
+            continue
+        d = 0.5 * s / nu / (nu + k)
+        fd = (log_mode_value(nu + h, k) - log_mode_value(nu - h, k)) / (2.0 * h)
+        residual = abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d))
+        if residual > max_residual:
+            max_residual = residual
+        if nu <= _VALUE_CHECK_NU_MAX and (fd > 0.0) - (fd < 0.0) != sign:
+            witnesses.append((nu, fd))
     if witnesses:
         raise MonotonicityViolationError(
             f"mode values move against the '{classification}' classification for k={k}",
             witnesses=witnesses,
         )
-
-    return MonotonicityReport(classification, max_residual), sums, values
+    return MonotonicityReport(classification, max_residual), sums
 
 
 def induction_step_check(nu, k: int) -> tuple[float, float]:
@@ -274,14 +272,14 @@ def verify_dimension(k: int, grid: Sequence[float]) -> tuple[list, list[str]]:
     grid = _validate_grid(grid)
     expected = {1: "increasing", 2: "constant"}.get(k, "decreasing")
     try:
-        report, sums, values = _sweep(k, grid)
+        report, sums = _sweep(k, grid)
     except MonotonicityViolationError as exc:
         return [k, expected, "violated", math.nan, "-", False], [f"k={k}: {exc}"]
     failures = []
     aux = "-"
     if k % 2 == 0:
-        values.extend(mode_value(nu, k) for nu in grid[len(values) :])
-        rel = max(abs(c - mode_value_even_product(nu, k)) / c for nu, c in zip(grid, values))
+        values = ((nu, mode_value(nu, k)) for nu in grid)
+        rel = max(abs(c - mode_value_even_product(nu, k)) / c for nu, c in values)
         aux = f"product rel {rel:.2e}"
     elif k >= 3:
         aux = "induction"

@@ -208,6 +208,13 @@ class TestVerify:
         assert all(r[5] == "true" for r in rows)
         assert all(float(r[3]) <= 1e-5 for r in rows)
 
+    def test_no_violated_row_where_mode_values_saturate(self):
+        # from k = 205 on, odd k's mode values overflow at the grid's tiny end
+        result = invoke(["verify", "--k-max", "240"])
+        _, rows = parse_csv(result.stdout)
+        assert len(rows) == 240
+        assert [r[0] for r in rows if r[2] == "violated"] == []
+
     def test_requires_three_dimensions(self):
         result = invoke(["verify", "--k-max", "2"])
         assert result.exit_code == 2

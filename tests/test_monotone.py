@@ -185,24 +185,40 @@ class TestClassification:
             pytest.fail("expected a violation")
 
     def test_values_moving_against_the_classification_raise(self, monkeypatch):
-        # flat mode values under the decreasing derivative of k = 3
-        monkeypatch.setattr(monotone, "mode_value", lambda nu, k: 1.0)
+        # flat log mode values under the decreasing derivative of k = 3
+        monkeypatch.setattr(monotone, "log_mode_value", lambda nu, k: 1.0)
         grid = monotone.default_nu_grid(0.1, 100.0, 12)
         with pytest.raises(errors.MonotonicityViolationError, match="move against the 'decreasing'") as info:
             monotone.classify_monotonicity(3, grid)
-        assert info.value.witnesses == [(nu, 0.0) for nu in grid[:-1]]
+        assert info.value.witnesses == [(nu, 0.0) for nu in grid]
 
     def test_value_check_computes_each_mode_value_once(self, monkeypatch):
+        # the value check reads the central differences of log_mode_value, so no mode_value at all
         calls = []
         real = monotone.mode_value
         monkeypatch.setattr(monotone, "mode_value", lambda nu, k: calls.append(nu) or real(nu, k))
         monotone.classify_monotonicity(3)
-        assert calls and len(calls) == len(set(calls))
+        assert calls == []
 
     @pytest.mark.parametrize("k, expected", [(1, "increasing"), (2, "constant"), (3, "decreasing")])
     def test_largest_tail_weights(self, k, expected):
         # the derivatives underflow to +/-0.0 here; their signs still decide
         assert monotone.classify_monotonicity(k, [1e300, 1.7e308]).classification == expected
+
+    @pytest.mark.parametrize(
+        "k, grid",
+        [
+            # mode values saturate to inf at the tiny end
+            *(pytest.param(k, monotone.default_nu_grid(1e-300, 100.0, 50), id=f"saturating-{k}") for k in (5, 7)),
+            # neighbouring mode values tie
+            *(pytest.param(k, monotone.default_nu_grid(99.9999999999, 100.0, 200), id=f"tying-{k}") for k in (1, 2, 3, 4)),
+            # nu * FD_STEP_SCALE underflows to 0 at the first two points
+            *(pytest.param(k, [5e-324, 1e-320, 1.0], id=f"no-step-{k}") for k in (1, 2, 3)),
+        ],
+    )
+    def test_grid_edges(self, k, grid):
+        expected = {1: "increasing", 2: "constant"}.get(k, "decreasing")
+        assert monotone.classify_monotonicity(k, grid).classification == expected
 
     def test_grid_validation(self):
         with pytest.raises(errors.DomainError):
@@ -295,7 +311,7 @@ class TestVerifyDimension:
         monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k: sums.append((nu, k)) or scaled(nu, k))
         grid = monotone.default_nu_grid()
         monotone.verify_dimension(k, grid)
-        assert len(values) == len(set(values)) == (len(grid) if k == 4 else sum(nu <= 100.0 for nu in grid))
+        assert len(values) == len(set(values)) == (len(grid) if k == 4 else 0)
         assert len(sums) == len(set(sums)) == len(grid) * (2 if k == 3 else 1)
 
     def test_mixed_signs_give_violated_row(self, monkeypatch):
