@@ -319,10 +319,13 @@ def cmd_sample(nu_text, k, n, seed, radii):
 
     nu = tdist.check_dof(nu_text)
     batch = mcoracle.sample_t(nu, k, n, seed)
+    radii = radii or (0.1,)
+    # ball_prob checks each radius as the estimator does, so errors come in radius order;
+    # then one pass over the draws estimates every radius
+    analytics = [ballprob.ball_prob(nu, k, r) for r in radii]
     rows = []
-    for r in radii or (0.1,):
-        est, _ = mcoracle.estimate_ball_prob(batch, r)
-        analytic = ballprob.ball_prob(nu, k, r)
+    for r, analytic, prefixes in zip(radii, analytics, mcoracle._prefix_estimates(batch, radii)):
+        est = prefixes[-1][0]
         se = math.sqrt(analytic * (1.0 - analytic) / n)
         if se > 0.0:
             z = (est - analytic) / se

@@ -12,14 +12,17 @@ n*k normals for Z, then whatever the chi-square rejection sampler consumes.
 Normals are Box-Muller pairs (the non-polar form, two uniforms in, two
 normals out); gamma variates use Marsaglia-Tsang acceptance with the
 shape+1 boost below shape 1. Both run block by block over absolute stream
-positions, so sampling holds only the (n, k) draws, the n chi-square
-variates and a fixed block, with the same words and draws as whole arrays.
+positions, with the same words and draws as whole arrays. sample_t runs
+the chi-square rounds from the position after the normals and keeps the
+n row scales; the normals are made in fixed row blocks as a batch is
+read. So the estimators hold the n scales plus fixed blocks, and only
+reading SampleBatch.draws builds the (n, k) array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,33 +136,93 @@ class SplitMix64:
         return out
 
 
-@dataclass(eq=False)
 class SampleBatch:
-    """A reproducible block of draws from one family member."""
+    """A reproducible batch of n draws from one family member.
 
-    nu: float
-    k: int
-    n: int
-    seed: int
-    draws: np.ndarray  # shape (n, k)
+    Row i of the draws is the stream's normals i*k .. i*k + k - 1 times
+    scales[i] (unscaled when scales is None, as at nu = inf). The
+    estimators remake the draws from the stream in fixed row blocks, so
+    they hold only the n scales and a block; reading .draws builds the
+    whole (n, k) array once, from the same blocks. A batch made with
+    explicit draws reads its blocks from them.
+    """
+
+    def __init__(
+        self,
+        nu: float,
+        k: int,
+        n: int,
+        seed: int,
+        draws: np.ndarray | None = None,
+        scales: np.ndarray | None = None,
+    ):
+        self.nu = nu
+        self.k = k
+        self.n = n
+        self.seed = seed
+        self.scales = scales
+        if draws is not None:
+            self.draws = draws  # the instance attribute takes the cached property's place
+
+    @functools.cached_property
+    def draws(self) -> np.ndarray:
+        """The (n, k) draws, built on first read."""
+        out = np.empty((self.n, self.k), dtype=np.float64)
+        for i, blk in self._blocks():
+            out[i : i + blk.shape[0]] = blk
+        return out
+
+    def _blocks(self):
+        """(first row, draws of a block of rows) in order.
+
+        Made from the stream, a block holds about _BLOCK floats. An even
+        row count keeps every block's first normal on a Box-Muller pair; a
+        single row of odd k takes the pairs that cover it and drops the
+        extra normal. The yielded array is reused by the next block.
+        """
+        if "draws" in self.__dict__:
+            # views of the array cost no memory: _BLOCK rows, what the estimator's buffers hold
+            for i in range(0, self.n, _BLOCK):
+                yield i, self.draws[i : i + _BLOCK]
+            return
+        k = self.k
+        rows = max(1, _BLOCK // k & -2)
+        gen = SplitMix64(self.seed)
+        pairs = (self.n * k + 1) // 2
+        buf = np.empty(2 * ((rows * k + 1) // 2 + 1), dtype=np.float64)
+        for i in range(0, self.n, rows):
+            m = min(rows, self.n - i)
+            a, b = i * k // 2, ((i + m) * k + 1) // 2
+            x = buf[: 2 * (b - a)]
+            gen._box_muller(x, 0, pairs, a)
+            blk = x[i * k - 2 * a :][: m * k].reshape(m, k)
+            if self.scales is not None:
+                with np.errstate(over="ignore"):
+                    blk *= self.scales[i : i + m, None]
+            yield i, blk
 
 
 def sample_t(nu, k: int, n: int, seed: int) -> SampleBatch:
-    """Draw n points from the (nu, k) member, reproducibly by seed."""
+    """Draw n points from the (nu, k) member, reproducibly by seed.
+
+    The chi-square variates are drawn here and kept as the n row scales;
+    the normals are made block by block whenever the batch is read.
+    """
     nu = check_dof(nu)
     k = check_dim(k)
     n = _require_count(n, "sample size", 1)
-    gen = SplitMix64(seed)
-    z = gen.next_normal(n * k).reshape(n, k)
-    if not math.isinf(nu):
-        # nu/2 == 0 takes the Gamma(shape -> 0) limit w = 0: +/-inf draws, as at tiny nu
-        w = gen.next_gamma(0.5 * nu, n) if 0.5 * nu > 0.0 else np.zeros(n)
-        with np.errstate(divide="ignore", over="ignore"):
-            w *= 2.0
-            np.divide(nu, w, out=w)
-            np.sqrt(w, out=w)
-            z *= w[:, None]
-    return SampleBatch(nu=nu, k=k, n=n, seed=seed, draws=z)
+    gen = SplitMix64(seed)  # checks the seed, whether or not there are rounds to run
+    if math.isinf(nu):
+        return SampleBatch(nu=nu, k=k, n=n, seed=seed)
+    # the chi-square rounds start after the n*k normals' Box-Muller pairs
+    gen._position = 2 * ((n * k + 1) // 2)
+    # nu/2 == 0 takes the Gamma(shape -> 0) limit w = 0: +/-inf draws, as at tiny nu
+    w = gen.next_gamma(0.5 * nu, n) if 0.5 * nu > 0.0 else np.zeros(n)
+    with np.errstate(divide="ignore", over="ignore"):
+        w *= 2.0
+        np.divide(nu, w, out=w)
+        np.sqrt(w, out=w)
+    return SampleBatch(nu=nu, k=k, n=n, seed=seed, scales=w)
 
 
 def estimate_ball_prob(batch: SampleBatch, r) -> tuple[float, float]:
@@ -182,21 +245,25 @@ def estimate_ball_prob_prefixes(batch: SampleBatch, r) -> list[tuple[float, floa
     running squared norm per row and adds one column at a time, so the
     sums are those of np.cumsum along a row, bit for bit.
     """
-    r = _require_nonnegative(r, "radius")
-    r2 = r * r
-    hits = np.zeros(batch.k, dtype=np.int64)
+    return _prefix_estimates(batch, (r,))[0]
+
+
+def _prefix_estimates(batch: SampleBatch, radii) -> list[list[tuple[float, float]]]:
+    """estimate_ball_prob_prefixes for each radius, from one pass over the blocks."""
+    r2 = [r * r for r in (_require_nonnegative(r, "radius") for r in radii)]
+    hits = np.zeros((len(r2), batch.k), dtype=np.int64)
     norm_buf = np.empty(_BLOCK, dtype=np.float64)
     sq_buf = np.empty(_BLOCK, dtype=np.float64)
     inside_buf = np.empty(_BLOCK, dtype=bool)
     # a square that overflows is +inf, a miss for every finite r
     with np.errstate(over="ignore"):
-        for i in range(0, batch.n, _BLOCK):
-            blk = batch.draws[i : i + _BLOCK]
+        for _, blk in batch._blocks():
             m = blk.shape[0]
             norm, sq, inside = norm_buf[:m], sq_buf[:m], inside_buf[:m]
             norm.fill(0.0)
             for j in range(batch.k):
                 np.multiply(blk[:, j], blk[:, j], out=sq)
                 norm += sq
-                hits[j] += np.count_nonzero(np.less_equal(norm, r2, out=inside))
-    return [(p, math.sqrt(p * (1.0 - p) / batch.n)) for p in (hits / batch.n).tolist()]
+                for row, bound in zip(hits, r2):
+                    row[j] += np.count_nonzero(np.less_equal(norm, bound, out=inside))
+    return [[(p, math.sqrt(p * (1.0 - p) / batch.n)) for p in (row / batch.n).tolist()] for row in hits]

@@ -169,13 +169,15 @@ def classify_monotonicity(k: int, grid: Sequence[float] | None = None) -> Monoto
     The grid defaults to default_nu_grid(). Returns a report carrying the
     classification and the worst discrepancy between the analytic
     derivative and a central finite difference of the log mode value
-    (step nu * 1e-6, none where it underflows to 0, measured relative to
-    max(1e-8, |derivative|)). The exact signs decide, with no tolerance
-    band: all zero is "constant". Mixed signs raise
-    MonotonicityViolationError listing the (nu, derivative) pairs of
-    nonzero sign; so does a central difference at nu <= 100 of another
-    sign than the classification (exactly 0 for "constant"), listing the
-    (nu, difference) pairs. With correct numerics neither happens.
+    (step nu * 1e-6, none where it underflows to 0 and none where the
+    derivative or the difference is infinite, as for k >= 3 below about
+    nu = 1e-308, measured relative to max(1e-8, |derivative|)). The exact
+    signs decide, with no tolerance band: all zero is "constant". Mixed
+    signs raise MonotonicityViolationError listing the (nu, derivative)
+    pairs of nonzero sign; so does a central difference at nu <= 100 of
+    another sign than the classification (exactly 0 for "constant"),
+    listing the (nu, difference) pairs. With correct numerics neither
+    happens.
     """
     k = check_dim(k)
     vals = default_nu_grid() if grid is None else _validate_grid(grid)
@@ -208,9 +210,9 @@ def _sweep(k: int, vals: tuple[float, ...]) -> tuple[MonotonicityReport, array]:
             continue
         d = 0.5 * s / nu / (nu + k)
         fd = (log_mode_value(nu + h, k) - log_mode_value(nu - h, k)) / (2.0 * h)
-        residual = abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d))
-        if residual > max_residual:
-            max_residual = residual
+        # where both saturate to +/-inf (below about nu = 1e-308) there is no residual
+        if math.isfinite(d) and math.isfinite(fd):
+            max_residual = max(max_residual, abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d)))
         if nu <= _VALUE_CHECK_NU_MAX and (fd > 0.0) - (fd < 0.0) != sign:
             witnesses.append((nu, fd))
     if witnesses:

@@ -27,6 +27,7 @@ mode value is the constant 1/(2 pi) to within two ulps for every nu.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, MomentExistenceError
@@ -121,19 +122,21 @@ def log_density(nu, k: int, point: Sequence[float] | Iterable[float]) -> float:
     nu = check_dof(nu)
     k = check_dim(k)
     try:
-        coords = [float(c) for c in point]
+        coords = list(map(float, point))
     except _NOT_REAL as exc:
         raise DomainError(f"coordinates must be real numbers: {exc}") from None
     if len(coords) != k:
         raise DimensionMismatchError(f"expected {k} coordinates, got {len(coords)}")
-    for c in coords:
-        if math.isnan(c) or math.isinf(c):
-            raise DomainError(f"coordinates must be finite, got {c!r}")
     try:
-        sq = math.fsum(c * c for c in coords)
+        sq = math.fsum(map(operator.mul, coords, coords))
     except OverflowError:
         # finite squares whose sum passes the double range
         sq = math.inf
+    if not math.isfinite(sq):
+        # a nan or infinite coordinate makes the sum nan or inf, so only then look for one
+        for c in coords:
+            if math.isnan(c) or math.isinf(c):
+                raise DomainError(f"coordinates must be finite, got {c!r}")
     base = log_mode_value(nu, k)
     if math.isinf(nu):
         return base - 0.5 * sq

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tmode import ballprob, cli, monotone, tdist
+from tmode import ballprob, cli, mcoracle, monotone, tdist
 from tmode.errors import MonotonicityViolationError
 
 
@@ -320,6 +320,23 @@ class TestSample:
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         assert [r[4] for r in rows] == ["0.5", "2"]
+
+    def test_several_radii_make_each_normal_once(self, monkeypatch):
+        made = []
+        box_muller = mcoracle.SplitMix64._box_muller
+
+        def counted(gen, out, *args):
+            made.append(out.size)
+            box_muller(gen, out, *args)
+
+        monkeypatch.setattr(mcoracle.SplitMix64, "_box_muller", counted)
+        args = ["sample", "--nu", "2", "--k", "3", "--n", "20001", "--seed", "5", "--precision", "full"]
+        one = [invoke([*args, "--radius", r]) for r in ("1.0", "0.5")]
+        made_one = sum(made)
+        made.clear()
+        both = invoke([*args, "--radius", "1.0", "--radius", "0.5"])
+        assert sum(made) == made_one // 2
+        assert both.output.splitlines() == one[0].output.splitlines() + one[1].output.splitlines()[1:]
 
     def test_radii_keep_their_order(self):
         result = invoke(["sample", "--nu", "2", "--k", "1", "--n", "100", "--radius", "2.0", "--radius", "0.5"])

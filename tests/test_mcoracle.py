@@ -11,6 +11,14 @@ from tmode import ballprob, errors, mcoracle
 
 MASK = (1 << 64) - 1
 B = mcoracle._BLOCK
+# the monte-carlo benchmark workload's (nu, seed, r) for its seed 1, with k = 4 and n = 250000
+BENCHMARK_SEED_1 = [
+    (1.0, 7399589116837456607, 0.9855841014131337),
+    (2.0, 1087608058291172412, 0.4411394620106921),
+    (10.0, 4355693531291048099, 0.7042745624416129),
+    (math.inf, 1936491312797304342, 0.1324689633698656),
+    (0.5149827905798419, 8239395385945212840, 1.2228001111456417),
+]
 
 
 def reference_splitmix64(seed: int, n: int) -> list[int]:
@@ -74,8 +82,10 @@ def whole_sample(nu, k, n, seed):
     z = whole_normal(gen, n * k).reshape(n, k)
     if math.isinf(nu):
         return z, gen.position
-    w = 2.0 * whole_gamma(gen, 0.5 * nu, n)
-    return z * np.sqrt(nu / w)[:, None], gen.position
+    # nu/2 == 0: the Gamma(shape -> 0) limit w = 0, so every draw is infinite
+    w = 2.0 * whole_gamma(gen, 0.5 * nu, n) if 0.5 * nu > 0.0 else np.zeros(n)
+    with np.errstate(divide="ignore", over="ignore"):
+        return z * np.sqrt(nu / w)[:, None], gen.position
 
 
 def whole_prefix_hits(draws, r):
@@ -194,17 +204,7 @@ class TestSampleT:
     def test_blocks_reproduce_whole_array_stream(self, nu, n, k):
         self.assert_matches_whole_array(nu, k, n, 31, 0.8)
 
-    # the monte-carlo benchmark workload's inputs for its seed 1
-    @pytest.mark.parametrize(
-        "nu, seed, r",
-        [
-            (1.0, 7399589116837456607, 0.9855841014131337),
-            (2.0, 1087608058291172412, 0.4411394620106921),
-            (10.0, 4355693531291048099, 0.7042745624416129),
-            (math.inf, 1936491312797304342, 0.1324689633698656),
-            (0.5149827905798419, 8239395385945212840, 1.2228001111456417),
-        ],
-    )
+    @pytest.mark.parametrize("nu, seed, r", BENCHMARK_SEED_1)
     def test_benchmark_inputs_reproduce_whole_array_stream(self, nu, seed, r):
         self.assert_matches_whole_array(nu, 4, 250_000, seed, r)
 
@@ -220,6 +220,48 @@ class TestSampleT:
         assert gen.position == position
         got = mcoracle.estimate_ball_prob_prefixes(batch, r)
         assert [p for p, _ in got] == [h / n for h in whole_prefix_hits(draws, r)]
+
+    # k = 2^14 + 1 splits a Box-Muller pair across two rows; n*k is odd for k = 1, 3 and 2^14 + 1
+    @pytest.mark.parametrize("k, n", [(1, 2 * B + 1), (3, B + 1), (20, 1001), (B + 1, 3)])
+    @pytest.mark.parametrize("nu", [0.52, 2.0, math.inf, 5e-324])
+    def test_streamed_estimate_matches_whole_array(self, nu, k, n):
+        self.assert_streams_like_whole_array(nu, k, n, 31, 0.8)
+
+    @pytest.mark.parametrize("nu, seed, r", BENCHMARK_SEED_1)
+    def test_benchmark_inputs_stream_like_whole_array(self, nu, seed, r):
+        self.assert_streams_like_whole_array(nu, 4, 250_000, seed, r)
+
+    @staticmethod
+    def assert_streams_like_whole_array(nu, k, n, seed, r):
+        # estimate first, so the blocks are made from the stream, not read from .draws
+        draws, _ = whole_sample(nu, k, n, seed)
+        batch = mcoracle.sample_t(nu, k, n, seed)
+        got = mcoracle.estimate_ball_prob_prefixes(batch, r)
+        assert "draws" not in batch.__dict__
+        assert [p for p, _ in got] == [h / n for h in whole_prefix_hits(draws, r)]
+        assert batch.draws.tobytes() == draws.tobytes()
+
+    @pytest.mark.parametrize("nu", [0.5, math.inf])
+    def test_estimate_holds_scales_and_blocks_only(self, nu):
+        # the n scales plus fixed blocks; the (n, k) draws are never built
+        n = 10**6
+
+        def run():
+            batch = mcoracle.sample_t(nu, 4, n, 2)
+            mcoracle.estimate_ball_prob_prefixes(batch, 1.0)
+            return batch
+
+        tracemalloc.start()
+        try:
+            run()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            batch = run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert "draws" not in batch.__dict__
+        assert peak <= 8 * n + 2 * 2**20
 
     @pytest.mark.parametrize("nu", [0.5, 2.0, math.inf])
     @pytest.mark.parametrize("n", [250_000, 1_000_000])

@@ -220,6 +220,18 @@ class TestClassification:
         expected = {1: "increasing", 2: "constant"}.get(k, "decreasing")
         assert monotone.classify_monotonicity(k, grid).classification == expected
 
+    def test_saturated_derivatives_leave_no_residual(self):
+        # at 3e-318 and 1e-310 the derivative and the difference are both -inf
+        for nu in (3e-318, 1e-310):
+            h = nu * monotone.FD_STEP_SCALE
+            fd = (tdist.log_mode_value(nu + h, 3) - tdist.log_mode_value(nu - h, 3)) / (2.0 * h)
+            assert monotone.dlog_mode_value(nu, 3) == fd == -math.inf
+        report = monotone.classify_monotonicity(3, [3e-318, 1e-310, 1e-308, 1.0])
+        assert report.max_derivative_residual == pytest.approx(1.16e-7, rel=5e-3)
+        # all of it from nu = 1e-308
+        assert report == monotone.classify_monotonicity(3, [1e-308, 1.0])
+        assert monotone.classify_monotonicity(3, [3e-318, 1e-310, 1.0]).max_derivative_residual < 1e-8
+
     def test_grid_validation(self):
         with pytest.raises(errors.DomainError):
             monotone.classify_monotonicity(3, grid=[1.0])

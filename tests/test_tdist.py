@@ -191,7 +191,64 @@ class TestModeValue:
             tdist.mode_value(2.0, 0)
 
 
+def loop_log_density(nu, k, point):
+    """log_density with a per-coordinate finiteness check before the sum, the reference."""
+    nu = tdist.check_dof(nu)
+    k = tdist.check_dim(k)
+    try:
+        coords = [float(c) for c in point]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise errors.DomainError(f"coordinates must be real numbers: {exc}") from None
+    if len(coords) != k:
+        raise errors.DimensionMismatchError(f"expected {k} coordinates, got {len(coords)}")
+    for c in coords:
+        if math.isnan(c) or math.isinf(c):
+            raise errors.DomainError(f"coordinates must be finite, got {c!r}")
+    try:
+        sq = math.fsum(c * c for c in coords)
+    except OverflowError:
+        sq = math.inf
+    base = tdist.log_mode_value(nu, k)
+    if math.isinf(nu):
+        return base - 0.5 * sq
+    if sq == math.inf:
+        s = max(abs(c) for c in coords)
+        log_q = 2.0 * math.log(s) + math.log(math.fsum((c / s) ** 2 for c in coords)) - math.log(nu)
+        return base - 0.5 * (nu + k) * (log_q + math.log1p(math.exp(-log_q)))
+    q = sq / nu
+    return base - 0.5 * (nu + k) * (math.log1p(q) if q < math.inf else math.log(sq) - math.log(nu))
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args).hex()
+    except (errors.DomainError, errors.DimensionMismatchError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestLogDensity:
+    @pytest.mark.parametrize("nu", [2.5, math.inf, 1e-310])
+    @pytest.mark.parametrize(
+        "point",
+        [
+            [0.0, -0.0, 5e-324],
+            [1.0, math.nan, math.inf],
+            [math.inf, 1.0, math.nan],
+            [-math.inf, -math.inf, 0.0],
+            [1e200, math.nan, 1.0],  # the sum overflows before the nan
+            [1.3e154, 1.3e154, 1.0],
+            [1e300, -1e300, 1e300],
+            [2e154, 3.0, -1e-300],
+            [1.0, 2.0],
+            [1.0, math.nan],
+            [1.0, 2.0, 3.0, math.inf],
+            [1.0, "x", 2.0],
+            [1.0, 10**400, 2.0],
+        ],
+    )
+    def test_same_bits_and_errors_as_the_loop_check(self, nu, point):
+        assert outcome(tdist.log_density, nu, 3, point) == outcome(loop_log_density, nu, 3, point)
+
     @pytest.mark.parametrize("nu,k,t,want", DENSITY_E1_REFS)
     def test_frozen_references_along_first_axis(self, nu, k, t, want):
         point = [t] + [0.0] * (k - 1)
