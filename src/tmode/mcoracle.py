@@ -189,7 +189,7 @@ class SampleBatch:
         rows = max(1, _BLOCK // k & -2)
         gen = SplitMix64(self.seed)
         pairs = (self.n * k + 1) // 2
-        buf = np.empty(2 * ((rows * k + 1) // 2 + 1), dtype=np.float64)
+        buf = np.empty(rows * k + 2, dtype=np.float64)  # at most one normal spare at each end
         for i in range(0, self.n, rows):
             m = min(rows, self.n - i)
             a, b = i * k // 2, ((i + m) * k + 1) // 2
