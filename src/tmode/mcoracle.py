@@ -175,10 +175,10 @@ class SampleBatch:
     def _blocks(self):
         """(first row, draws of a block of rows) in order.
 
-        Made from the stream, a block holds about _BLOCK floats. An even
-        row count keeps every block's first normal on a Box-Muller pair; a
-        single row of odd k takes the pairs that cover it and drops the
-        extra normal. The yielded array is reused by the next block.
+        A block made from the stream holds about _BLOCK floats, in a buffer
+        that the next block reuses. An even row count keeps every block's
+        first normal on a Box-Muller pair; a single row of odd k takes the
+        pairs that cover it and drops the extra normal.
         """
         if "draws" in self.__dict__:
             # views of the array cost no memory: _BLOCK rows, what the estimator's buffers hold
