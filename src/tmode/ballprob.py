@@ -15,6 +15,7 @@ dimensions 3 and 4.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureConvergenceError
@@ -44,6 +45,8 @@ QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-12
 QUAD_MAX_DEPTH = 60
 
+_NORMAL_MIN = sys.float_info.min
+
 
 class QuadResult(NamedTuple):
     value: float
@@ -56,8 +59,10 @@ def ball_prob(nu, k: int, r) -> float:
     For finite nu the squared norm satisfies |X|^2/k ~ F(k, nu), so the
     probability is I_x(k/2, nu/2) at x = r^2/(r^2 + nu), with the
     complement 1 - x = nu/(r^2 + nu) passed alongside so it is never
-    formed by subtraction; the Gaussian limit uses the chi-square law,
-    P(k/2, r^2/2).
+    formed by subtraction. Where r^2 or x falls below the normal doubles,
+    ln x = 2 ln r - ln(r^2 + nu) goes to the front factor instead, so tiny
+    radii keep their relative accuracy. The Gaussian limit uses the
+    chi-square law, P(k/2, r^2/2).
     """
     nu = check_dof(nu)
     k = check_dim(k)
@@ -76,7 +81,13 @@ def ball_prob(nu, k: int, r) -> float:
         # clamped where r^2 is near nu and the true P is a few subnormals at most
         log_tail = (math.log(nu) - math.log(total) + digamma(0.5 * k) - digamma(1.0)) * 0.5 * nu
         return max(0.0, -math.expm1(log_tail))
-    return _reg_inc_beta(0.5 * k, 0.5 * nu, r2 / total, y)
+    x = r2 / total
+    # where r^2 or x falls below the normal doubles it has lost bits or
+    # underflowed, so ln x, the log of the smaller side, comes from ln r
+    log_x = None
+    if (x < _NORMAL_MIN or r2 < _NORMAL_MIN) and r2 < nu:
+        log_x = 2.0 * math.log(r) - math.log(total)
+    return _reg_inc_beta(0.5 * k, 0.5 * nu, x, y, log_x)
 
 
 def _simpson_recurse(
@@ -141,15 +152,18 @@ def ball_prob_quadrature(nu, k: int, r) -> QuadResult:
     log_surface = math.log(2.0) + 0.5 * k * math.log(math.pi) - log_gamma(0.5 * k)
     base = log_mode_value(nu, k)
     gaussian = math.isinf(nu)
+    # the same products as written out per point, so the same bits
+    half_nu_k = 0.5 * (nu + k)
+    k1 = k - 1
 
     def integrand(s: float) -> float:
         if gaussian:
             log_f = base - 0.5 * s * s
         else:
-            log_f = base - 0.5 * (nu + k) * math.log1p(s * s / nu)
+            log_f = base - half_nu_k * math.log1p(s * s / nu)
         if s == 0.0:
             return math.exp(log_surface + log_f) if k == 1 else 0.0
-        return math.exp(log_surface + (k - 1) * math.log(s) + log_f)
+        return math.exp(log_surface + k1 * math.log(s) + log_f)
 
     return _adaptive_simpson(integrand, 0.0, r)
 

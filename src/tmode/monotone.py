@@ -23,12 +23,13 @@ that error firing means a numerical defect, not new mathematics.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, MonotonicityViolationError
 from .specfun import _HALF_SHIFT, _RATIO_SERIES_MIN, _real, _require_count, _require_positive
-from .tdist import check_dim, check_dof, log_mode_value, mode_value
+from .tdist import _LN_2PI, _log_ratio_nu, check_dim, check_dof, log_mode_value, mode_value
 
 __all__ = [
     "DEFAULT_GRID_RANGE",
@@ -71,6 +72,16 @@ VERIFY_COLUMNS = ("k", "expected", "classification", "max_fd_residual", "aux_che
 # derivative signs alone carry the claim
 _VALUE_CHECK_NU_MAX = 100.0
 
+# _product_rel's constants: the least normal double, ln(1/2) and ln(pi)
+_NORMAL_MIN = sys.float_info.min
+_LOG_HALF = math.log(0.5)
+_LOG_PI = math.log(math.pi)
+
+# L(1)'s series in 1/y^2 (see _scaled_derivative_sum): its Horner coefficients
+# n * _HALF_SHIFT[n-1] for odd n, highest first, and the z = 2y from which it holds
+_L1_SERIES = tuple(n * _HALF_SHIFT[n - 1] for n in range(len(_HALF_SHIFT) - 1, 0, -2))
+_L1_SERIES_MIN = 2.0 * _RATIO_SERIES_MIN
+
 
 def default_nu_grid(
     lo: float = DEFAULT_GRID_RANGE[0],
@@ -100,16 +111,18 @@ def _scaled_derivative_sum(nu: float, k: int) -> float:
         # even orders vanish
         parts = []
         z = nu
-        while z < 2.0 * _RATIO_SERIES_MIN:
+        while z < _L1_SERIES_MIN:
             parts.append(2.0 * (nu / z) * c / ((z + 1.0) * (z + 2.0)))
             z += 2.0
         y = 0.5 * z
         w = 1.0 / (y * y)
         t = 0.0
-        for n in range(len(_HALF_SHIFT) - 1, 0, -2):
-            t = t * w + n * _HALF_SHIFT[n - 1]
+        for b in _L1_SERIES:
+            t = t * w + b
         parts.append(-(nu / y) * (c / y) * t)
         line = math.fsum(parts)
+    if k < 3:
+        return line
     return line - 2.0 * math.fsum([c / (1.0 + nu / j) for j in range(2 - k % 2, k - 1, 2)])
 
 
@@ -145,6 +158,20 @@ def mode_value_even_product(nu, k: int) -> float:
     for j in range(1, k // 2):
         value *= 0.5 + j / nu
     return value
+
+
+def _product_rel(nu: float, k: int) -> float:
+    # |c - p| / c between mode_value and the even-k product form at a finite nu.
+    # Where either leaves the normal doubles (c past 1.8e308 at tiny nu, or
+    # under 2.2e-308 at large k) it is |expm1(ln p - ln c)|, with each factor's
+    # log formed without overflow: ln(1/2 + j/nu) = ln j - ln nu + log1p(nu/(2j))
+    c = mode_value(nu, k)
+    p = mode_value_even_product(nu, k)
+    if _NORMAL_MIN <= c < math.inf and _NORMAL_MIN <= p < math.inf:
+        return abs(c - p) / c
+    log_nu = math.log(nu)
+    log_p = math.fsum(math.log(j) - log_nu + math.log1p(0.5 * nu / j) for j in range(1, k // 2))
+    return abs(math.expm1(log_p + _LOG_HALF - 0.5 * k * _LOG_PI - log_mode_value(nu, k)))
 
 
 class MonotonicityReport(NamedTuple):
@@ -204,12 +231,16 @@ def _sweep(k: int, vals: tuple[float, ...]) -> tuple[MonotonicityReport, array]:
     # the classified sign; a point whose step underflows to 0 has no difference
     max_residual = 0.0
     witnesses = []
+    # log_mode_value(nu +/- h, k) less its checks: k and the grid are checked, and
+    # 0 < h < nu; _log_ratio_nu takes nu + h = inf and an nu - h that halves to 0
+    half_k = 0.5 * k
+    pi_term = half_k * _LN_2PI
     for nu, s in zip(vals, sums):
         h = nu * FD_STEP_SCALE
         if not h:
             continue
         d = 0.5 * s / nu / (nu + k)
-        fd = (log_mode_value(nu + h, k) - log_mode_value(nu - h, k)) / (2.0 * h)
+        fd = ((_log_ratio_nu(nu + h, half_k) - pi_term) - (_log_ratio_nu(nu - h, half_k) - pi_term)) / (2.0 * h)
         # where both saturate to +/-inf (below about nu = 1e-308) there is no residual
         if math.isfinite(d) and math.isfinite(fd):
             max_residual = max(max_residual, abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d)))
@@ -280,8 +311,7 @@ def verify_dimension(k: int, grid: Sequence[float]) -> tuple[list, list[str]]:
     failures = []
     aux = "-"
     if k % 2 == 0:
-        values = ((nu, mode_value(nu, k)) for nu in grid)
-        rel = max(abs(c - mode_value_even_product(nu, k)) / c for nu, c in values)
+        rel = max(_product_rel(nu, k) for nu in grid)
         aux = f"product rel {rel:.2e}"
     elif k >= 3:
         aux = "induction"

@@ -142,9 +142,16 @@ def log_gamma_ratio(a: float, s: float) -> float:
         _real(s, "shift")  # raises DomainError
     if not math.isfinite(s) or a + s <= 0.0:
         raise DomainError(f"shift must be finite with a + s > 0, got a={a!r}, s={s!r}")
+    return _log_gamma_ratio(a, s)
+
+
+def _log_gamma_ratio(a: float, s: float) -> float:
+    # log_gamma_ratio for a finite a > 0 and a finite s with a + s > 0: the
+    # checks are the callers', made once outside their loops
     if s < 0.0:
+        # a + s is finite and positive, and so is -s: the same rules hold
         b = a + s
-        return -s * math.log1p(-s / b) - log_gamma_ratio(b, -s)
+        return -s * math.log1p(-s / b) - _log_gamma_ratio(b, -s)
     whole = int(s)
     f = s - whole
     if whole > _MAX_STEPS or (f + whole) / a == math.inf:
@@ -303,19 +310,20 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return _reg_inc_beta(a, b, x, 1.0 - x)
 
 
-def _reg_inc_beta(a: float, b: float, x: float, y: float) -> float:
+def _reg_inc_beta(a: float, b: float, x: float, y: float, log_min: float | None = None) -> float:
     # I_x(a, b) for checked a, b and y = 1 - x, which ball_prob forms without
-    # cancellation. The side is chosen once, as x and y may both pass their
-    # switch points when each is an ulp above 1 - the other.
-    if x == 0.0 or y == 0.0:
+    # cancellation. Where the smaller of x and y has lost bits to underflow,
+    # ball_prob passes its log as log_min. The side is chosen once, as x and y
+    # may both pass their switch points when each is an ulp above 1 - the other.
+    if log_min is None and (x == 0.0 or y == 0.0):
         return 0.0 if x == 0.0 else 1.0
     flip = x > (a + 1.0) / (a + b + 2.0)
     if flip:
         a, b, x, y = b, a, y, x
     if x <= y:
-        log_x, log_y = math.log(x), math.log1p(-x)
+        log_x, log_y = math.log(x) if log_min is None else log_min, math.log1p(-x)
     else:
-        log_x, log_y = math.log1p(-y), math.log(y)
+        log_x, log_y = math.log1p(-y), math.log(y) if log_min is None else log_min
     if a >= b:
         p, q, rest = a, b, b * (math.log(a) + log_y) + a * log_x - math.lgamma(b)
     else:
@@ -326,7 +334,8 @@ def _reg_inc_beta(a: float, b: float, x: float, y: float) -> float:
     else:
         fraction, iterations = _lentz(1.0 - (a + b) * x / (a + 1.0), 1.0, _beta_steps(a, b, x))
         try:
-            front = math.exp(log_gamma_ratio(p, q) + rest)
+            # p and q are checked finite positive shapes
+            front = math.exp(_log_gamma_ratio(p, q) + rest)
         except OverflowError:
             raise ConvergenceError(
                 f"incomplete beta front factor overflows at a={a}, b={b}, x={x}",

@@ -14,8 +14,9 @@ Numerical core: no Gamma quotient is formed from raw log_gamma
 differences. With a = nu/2 those differences grow like a*ln(a) while the
 result stays O(k), so one ulp of the intermediates (about 9e-10 at
 nu = 1e6) would swamp the advertised accuracy. Every quotient instead
-goes through specfun.log_gamma_ratio, Q(a, s) = ln Gamma(a + s) -
-ln Gamma(a) - s ln a, which stays tiny for large a:
+goes through specfun.log_gamma_ratio, or its unchecked core once the
+arguments are checked: Q(a, s) = ln Gamma(a + s) - ln Gamma(a) - s ln a,
+which stays tiny for large a:
 
     ln c(nu, k) = Q(nu/2, k/2) - (k/2) ln(2 pi),
     ln E|X|^m   = (m/2) ln k + Q(k/2, m/2) + Q(nu/2, -m/2),
@@ -31,7 +32,7 @@ import operator
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, MomentExistenceError
-from .specfun import _NOT_REAL, _real, _require_count, _require_nonnegative, log_gamma_ratio
+from .specfun import _NOT_REAL, _log_gamma_ratio, _real, _require_count, _require_nonnegative, log_gamma_ratio
 
 __all__ = [
     "GAUSSIAN_DOF",
@@ -83,13 +84,18 @@ def _exp(x: float) -> float:
 
 
 def _log_ratio_nu(nu: float, s: float) -> float:
-    # Q(nu/2, s), which is 0 in the Gaussian limit. Only nu = 5e-324 halves to 0;
-    # there Q has reached its a -> 0 limit lgamma(s) + (1 - s) ln a (0 at s = 0)
+    # Q(nu/2, s) for a checked nu and a finite s, which is 0 in the Gaussian limit.
+    # Only nu = 5e-324 halves to 0; there Q has reached its a -> 0 limit
+    # lgamma(s) + (1 - s) ln a (0 at s = 0)
     if math.isinf(nu):
         return 0.0
-    if 0.5 * nu == 0.0:
+    a = 0.5 * nu
+    if a == 0.0:
         return math.lgamma(s) + (1.0 - s) * (math.log(nu) - math.log(2.0)) if s else 0.0
-    return log_gamma_ratio(0.5 * nu, s)
+    if a + s <= 0.0:
+        # a moment order m < nu whose half rounds to nu/2, at subnormal nu
+        return log_gamma_ratio(a, s)  # raises DomainError
+    return _log_gamma_ratio(a, s)
 
 
 def log_mode_value(nu, k: int) -> float:
@@ -165,7 +171,8 @@ def radial_moment(nu, k: int, m) -> float:
     nu = check_dof(nu)
     k = check_dim(k)
     m = _check_moment_order(m, nu)
-    return _exp(0.5 * m * math.log(k) + log_gamma_ratio(0.5 * k, 0.5 * m) + _log_ratio_nu(nu, -0.5 * m))
+    # k >= 1 and a finite m >= 0 pass log_gamma_ratio's checks
+    return _exp(0.5 * m * math.log(k) + _log_gamma_ratio(0.5 * k, 0.5 * m) + _log_ratio_nu(nu, -0.5 * m))
 
 
 def moment_ratio(nu1, nu2, k: int, m) -> float:

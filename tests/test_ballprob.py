@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from tmode import ballprob, errors
@@ -63,6 +64,18 @@ class TestClosedForm:
     def test_underflowing_tail_weight(self, nu, k, r, want):
         # within one subnormal ulp plus rounding
         assert abs(ballprob.ball_prob(nu, k, r) - want) <= 5e-324 + 1e-15 * want
+
+    @pytest.mark.parametrize("nu", [1e-300, 1e-10, 1.0, 7.5, 1e10, 1e300])
+    @pytest.mark.parametrize("k", [1, 2, 3, 20])
+    @pytest.mark.parametrize("r", [1e-300, 1e-200, 1e-155, 1.5e-154, 1e-150])
+    def test_tiny_radius_against_mpmath(self, nu, k, r):
+        # r^2 or x = r^2/(r^2 + nu) falls below the normal doubles; ln x comes from ln r
+        with mp.workdps(30 + 2 * math.ceil(abs(math.log10(nu)))):
+            r2 = mp.mpf(r) ** 2
+            want = mp.betainc(mp.mpf(k) / 2, mp.mpf(nu) / 2, 0, r2 / (r2 + nu), regularized=True)
+            # one ulp of ln P (about 700 here) is 1.1e-13 of P; below the
+            # normal doubles P keeps that, plus one subnormal ulp
+            assert abs(ballprob.ball_prob(nu, k, r) - want) <= 2e-13 * want + 5e-324
 
     def test_both_arguments_round_up(self):
         # r^2 + nu rounds down, so x = r^2/(r^2 + nu) and 1 - x = nu/(r^2 + nu)

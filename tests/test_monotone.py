@@ -10,7 +10,7 @@ import random
 import mpmath as mp
 import pytest
 
-from tmode import errors, monotone, tdist
+from tmode import errors, monotone, specfun, tdist
 
 # fmt: off
 DLOG_REFS = [
@@ -118,6 +118,36 @@ class TestDerivative:
                 assert 0.5 <= monotone._scaled_derivative_sum(nu, k) / (k * (2 - k)) <= 1.0, (nu, k)
 
 
+def loop_scaled_derivative_sum(nu: float, k: int) -> float:
+    """The previous _scaled_derivative_sum, kept as the reference for its bits."""
+    c = nu + k
+    line = 0.0
+    if k % 2:
+        parts = []
+        z = nu
+        while z < 2.0 * specfun._RATIO_SERIES_MIN:
+            parts.append(2.0 * (nu / z) * c / ((z + 1.0) * (z + 2.0)))
+            z += 2.0
+        y = 0.5 * z
+        w = 1.0 / (y * y)
+        t = 0.0
+        for n in range(len(specfun._HALF_SHIFT) - 1, 0, -2):
+            t = t * w + n * specfun._HALF_SHIFT[n - 1]
+        parts.append(-(nu / y) * (c / y) * t)
+        line = math.fsum(parts)
+    return line - 2.0 * math.fsum([c / (1.0 + nu / j) for j in range(2 - k % 2, k - 1, 2)])
+
+
+class TestScaledDerivativeSum:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 20, 21, 500])
+    def test_same_bits_as_the_reference(self, k):
+        rng = random.Random(k)
+        nus = [5e-324, 1e-310, 0.01, 1.0, 27.999999999999996, 28.0, 29.0, 30.0, 1e4, 1e300, 1.7e308]
+        nus += [10.0 ** rng.uniform(-320.0, 308.0) for _ in range(200)]
+        for nu in nus:
+            assert monotone._scaled_derivative_sum(nu, k).hex() == loop_scaled_derivative_sum(nu, k).hex(), nu
+
+
 class TestEvenProduct:
     def test_matches_mode_value(self):
         # Independent route for even dimensions: a finite product of
@@ -186,7 +216,7 @@ class TestClassification:
 
     def test_values_moving_against_the_classification_raise(self, monkeypatch):
         # flat log mode values under the decreasing derivative of k = 3
-        monkeypatch.setattr(monotone, "log_mode_value", lambda nu, k: 1.0)
+        monkeypatch.setattr(monotone, "_log_ratio_nu", lambda nu, s: 1.0)
         grid = monotone.default_nu_grid(0.1, 100.0, 12)
         with pytest.raises(errors.MonotonicityViolationError, match="move against the 'decreasing'") as info:
             monotone.classify_monotonicity(3, grid)
@@ -333,6 +363,25 @@ class TestVerifyDimension:
         assert math.isnan(row[3])
         assert row[4:] == ["-", False]
         assert failures == ["k=3: mixed derivative signs for k=3; the classification is ill-defined"]
+
+    @pytest.mark.parametrize(
+        "k, grid",
+        [
+            (204, monotone.default_nu_grid()),
+            (240, monotone.default_nu_grid()),
+            (6, monotone.default_nu_grid(1e-300, 100.0, 50)),
+            (1000, monotone.default_nu_grid()),
+        ],
+        ids=["204", "240", "6-tiny-nu", "1000"],
+    )
+    def test_product_check_past_the_double_range(self, k, grid):
+        # c and the product overflow to inf at the grid's small nu, or at k = 1000
+        # underflow to 0 at its large nu; there the check compares their logs
+        assert tdist.mode_value(grid[0], k) == math.inf or tdist.mode_value(grid[-1], k) == 0.0
+        row, failures = monotone.verify_dimension(k, grid)
+        assert failures == []
+        assert row[4].startswith("product rel ")
+        assert 0.0 <= float(row[4].removeprefix("product rel ")) <= monotone.PRODUCT_RTOL
 
     def test_product_disagreement_fails(self, monkeypatch):
         even_product = monotone.mode_value_even_product

@@ -279,10 +279,28 @@ class TestLogGammaRatio:
             assert specfun.log_gamma_ratio(a, 0.0) == 0.0
             assert specfun.log_gamma_ratio(a, 1.0) == 0.0
 
-    @pytest.mark.parametrize("a,s", [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, -2.0), (1.0, math.inf), (1.0, math.nan)])
+    @pytest.mark.parametrize(
+        "a,s",
+        [
+            (0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, -2.0), (1.0, math.inf), (1.0, math.nan),
+            (math.inf, 1.0), (math.nan, 1.0), (5e-324, -5e-324), (1e300, -math.inf), ("a", 1.0), (1.0, "s"),
+        ],
+    )
     def test_domain(self, a, s):
         with pytest.raises(errors.DomainError):
             specfun.log_gamma_ratio(a, s)
+
+    def test_core_has_the_public_bits(self):
+        # the unchecked core that checked callers run: the same bits as the
+        # public function wherever its checks pass
+        rng = random.Random(16)
+        whole = [0.0, 1.0, 2.0, 7.0, 120.0, 250.0]
+        shifts = whole + [w + f for w in whole for f in (0.5, 0.3, 0.875)]
+        tails = [5e-324, 1e-310, 1e-300, 0.5, 15.0, 1e300] + [10.0 ** rng.uniform(-323.0, 300.0) for _ in range(60)]
+        for a in tails:
+            for s in shifts + [-s for s in shifts if s < a] + [-a * rng.random()]:
+                if a + s > 0.0:
+                    assert specfun._log_gamma_ratio(a, s).hex() == specfun.log_gamma_ratio(a, s).hex(), (a, s)
 
 
 class TestDigamma:

@@ -359,6 +359,15 @@ class TestRadialMoment:
                 want = mp.exp(log_moment_nu(nu, m) + mp.loggamma((mp.mpf(k) + m) / 2) - mp.loggamma(mp.mpf(k) / 2))
                 assert abs(tdist.radial_moment(nu, k, m) / want - 1) <= 1e-13, (nu, k, m)
 
+    def test_halved_order_ties_halved_subnormal_tail_weight(self):
+        # m < nu, yet m/2 and nu/2 both round to 2^-1073: the Gamma quotient's check fires
+        nu, m = 2.5e-323, 2e-323
+        assert m < nu and 0.5 * m == 0.5 * nu
+        with pytest.raises(errors.DomainError, match="a \\+ s > 0"):
+            tdist.radial_moment(nu, 1, m)
+        with pytest.raises(errors.DomainError, match="a \\+ s > 0"):
+            tdist.moment_ratio(nu, 3.0, 1, m)
+
     def test_bad_order(self):
         with pytest.raises(errors.DomainError):
             tdist.radial_moment(5.0, 2, -1.0)
