@@ -15,11 +15,10 @@ dimensions 3 and 4.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, QuadratureConvergenceError
-from .specfun import _reg_inc_beta, _require_nonnegative, digamma, log_gamma, reg_lower_inc_gamma
+from .specfun import _NORMAL_MIN, _reg_inc_beta, _require_nonnegative, digamma, log_gamma, reg_lower_inc_gamma
 from .tdist import check_dim, check_dof, log_mode_value
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-12
 QUAD_MAX_DEPTH = 60
-
-_NORMAL_MIN = sys.float_info.min
 
 
 class QuadResult(NamedTuple):

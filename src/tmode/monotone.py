@@ -23,12 +23,11 @@ that error firing means a numerical defect, not new mathematics.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, MonotonicityViolationError
-from .specfun import _HALF_SHIFT, _RATIO_SERIES_MIN, _real, _require_count, _require_positive
+from .specfun import _HALF_SHIFT, _NORMAL_MIN, _RATIO_SERIES_MIN, _real, _require_count, _require_positive
 from .tdist import _LN_2PI, _log_ratio_nu, check_dim, check_dof, log_mode_value, mode_value
 
 __all__ = [
@@ -72,8 +71,7 @@ VERIFY_COLUMNS = ("k", "expected", "classification", "max_fd_residual", "aux_che
 # derivative signs alone carry the claim
 _VALUE_CHECK_NU_MAX = 100.0
 
-# _product_rel's constants: the least normal double, ln(1/2) and ln(pi)
-_NORMAL_MIN = sys.float_info.min
+# ln(1/2) and ln(pi), for _product_rel
 _LOG_HALF = math.log(0.5)
 _LOG_PI = math.log(math.pi)
 

@@ -17,6 +17,7 @@ raises ConvergenceError.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import ConvergenceError, DomainError
 
@@ -75,6 +76,9 @@ _HALF_SHIFT = tuple(_ratio_coefficients(0.5, len(_RATIO_ROWS)))
 # Whole shifts above this are not summed step by step (see log_gamma_ratio).
 _MAX_STEPS = 10_000
 
+
+# the least positive normal double; below it a float has lost bits
+_NORMAL_MIN = sys.float_info.min
 
 # what float() raises for an argument that is no real number
 _NOT_REAL = (TypeError, ValueError, OverflowError)
