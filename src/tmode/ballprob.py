@@ -59,7 +59,8 @@ def ball_prob(nu, k: int, r) -> float:
     formed by subtraction. Where r^2 or x falls below the normal doubles,
     ln x = 2 ln r - ln(r^2 + nu) goes to the front factor instead, so tiny
     radii keep their relative accuracy. The Gaussian limit uses the
-    chi-square law, P(k/2, r^2/2).
+    chi-square law, P(k/2, r^2/2), or its leading series term where r^2
+    falls below the normal doubles.
     """
     nu = check_dof(nu)
     k = check_dim(k)
@@ -67,6 +68,12 @@ def ball_prob(nu, k: int, r) -> float:
     if r == 0.0:
         return 0.0
     if math.isinf(nu):
+        if r * r < _NORMAL_MIN:
+            # r^2 has lost bits or underflowed: P(k/2, x) is its leading series
+            # term x^(k/2) / Gamma(k/2 + 1), from ln x = 2 ln r - ln 2 with
+            # r = m 2^e split exactly so that the power of two goes to ldexp
+            m, e = math.frexp(r)
+            return math.ldexp(math.exp(k * (math.log(m) - 0.5 * math.log(2.0)) - math.lgamma(0.5 * k + 1.0)), e * k)
         return reg_lower_inc_gamma(0.5 * k, 0.5 * r * r)
     r2 = r * r
     total = r2 + nu

@@ -39,29 +39,18 @@ class UsageError(Exception):
     """A command line the commands cannot run; exits 2 with the usage and a one-line message."""
 
 
-def _format_number(value: float, precision: str) -> str:
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if precision == "full":
-        return repr(float(value))
-    return f"{float(value):.6g}"
-
-
-def _cell_csv(value, precision: str) -> str:
-    if value is None:
-        return ""
+def _cell(value, fmt: str, precision: str):
+    """One table cell: its CSV text, or its JSON value when fmt is "json"."""
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        text = repr(float(value)) if precision == "full" else f"{float(value):.6g}"
+        return text if fmt == "csv" else float(text)
+    if fmt == "json":
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return _format_number(value, precision)
-    return str(value)
-
-
-def _cell_json(value, precision: str):
-    if isinstance(value, float):
-        text = _format_number(value, precision)
-        return text if math.isinf(value) else float(text)
-    return value
+    return "" if value is None else str(value)
 
 
 def emit(fmt: str, path: str, command: str, header: list[str], rows: list[list], precision: str) -> None:
@@ -74,7 +63,7 @@ def emit(fmt: str, path: str, command: str, header: list[str], rows: list[list],
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell_csv(v, precision) for v in row])
+            writer.writerow([_cell(v, fmt, precision) for v in row])
         text = buf.getvalue()
     else:
         import json
@@ -83,7 +72,7 @@ def emit(fmt: str, path: str, command: str, header: list[str], rows: list[list],
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "rows": [
-                {name: _cell_json(v, precision) for name, v in zip(header, row)}
+                {name: _cell(v, fmt, precision) for name, v in zip(header, row)}
                 for row in rows
             ],
         }

@@ -80,13 +80,17 @@ class SplitMix64:
         self._position += n
         return self._words(self._position - n, n, uniform=True)
 
-    def _box_muller(self, out: np.ndarray, p: int, pairs: int, a: int) -> None:
-        """Normals of pairs [a, a + out.size/2); u1 words start at p, u2 at p + pairs."""
-        m = out.size // 2
+    def _normals(self, buf: np.ndarray, p: int, pairs: int, lo: int, hi: int) -> np.ndarray:
+        """Normals lo .. hi-1 of the Box-Muller run of pairs pairs at p (u1 words from p, u2 from p + pairs).
+
+        The pairs that cover them fill the front of buf; the result is a view of exactly those normals.
+        """
+        a, m = lo // 2, (hi + 1) // 2 - lo // 2
         radius = np.sqrt(-2.0 * np.log(self._words(p + a, m, uniform=True)))
         angle = (2.0 * math.pi) * self._words(p + pairs + a, m, uniform=True)
-        np.multiply(radius, np.cos(angle), out=out[0::2])
-        np.multiply(radius, np.sin(angle), out=out[1::2])
+        np.multiply(radius, np.cos(angle), out=buf[0 : 2 * m : 2])
+        np.multiply(radius, np.sin(angle), out=buf[1 : 2 * m : 2])
+        return buf[lo - 2 * a : hi - 2 * a]
 
     def next_normal(self, n: int) -> np.ndarray:
         """n standard normals, Box-Muller pairs."""
@@ -94,8 +98,8 @@ class SplitMix64:
         p = self._position
         self._position += 2 * pairs
         out = np.empty(2 * pairs, dtype=np.float64)
-        for a in range(0, pairs, _BLOCK):
-            self._box_muller(out[2 * a : 2 * (a + _BLOCK)], p, pairs, a)
+        for lo in range(0, n, _BLOCK):
+            self._normals(out[lo:], p, pairs, lo, min(lo + _BLOCK, n))
         return out[:n]
 
     def next_gamma(self, shape: float, n: int) -> np.ndarray:
@@ -115,11 +119,9 @@ class SplitMix64:
             pairs = (want + 1) // 2
             p = self._position
             self._position += 2 * pairs + want
-            for a in range(0, pairs, _BLOCK // 2):
-                x = buf[: 2 * min(_BLOCK // 2, pairs - a)]
-                self._box_muller(x, p, pairs, a)
-                x = x[: want - 2 * a]
-                u = self._words(p + 2 * pairs + 2 * a, x.size, uniform=True)
+            for lo in range(0, want, _BLOCK):
+                x = self._normals(buf, p, pairs, lo, min(lo + _BLOCK, want))
+                u = self._words(p + 2 * pairs + lo, x.size, uniform=True)
                 t = 1.0 + c * x
                 v = t * t * t
                 with np.errstate(invalid="ignore", divide="ignore"):
@@ -176,9 +178,7 @@ class SampleBatch:
         """(first row, draws of a block of rows) in order.
 
         A block made from the stream holds about _BLOCK floats, in a buffer
-        that the next block reuses. An even row count keeps every block's
-        first normal on a Box-Muller pair; a single row of odd k takes the
-        pairs that cover it and drops the extra normal.
+        that the next block reuses.
         """
         if "draws" in self.__dict__:
             # views of the array cost no memory: _BLOCK rows, what the estimator's buffers hold
@@ -186,16 +186,13 @@ class SampleBatch:
                 yield i, self.draws[i : i + _BLOCK]
             return
         k = self.k
-        rows = max(1, _BLOCK // k & -2)
+        rows = max(1, _BLOCK // k)
         gen = SplitMix64(self.seed)
         pairs = (self.n * k + 1) // 2
         buf = np.empty(rows * k + 2, dtype=np.float64)  # at most one normal spare at each end
         for i in range(0, self.n, rows):
             m = min(rows, self.n - i)
-            a, b = i * k // 2, ((i + m) * k + 1) // 2
-            x = buf[: 2 * (b - a)]
-            gen._box_muller(x, 0, pairs, a)
-            blk = x[i * k - 2 * a :][: m * k].reshape(m, k)
+            blk = gen._normals(buf, 0, pairs, i * k, (i + m) * k).reshape(m, k)
             if self.scales is not None:
                 with np.errstate(over="ignore"):
                     blk *= self.scales[i : i + m, None]

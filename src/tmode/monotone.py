@@ -145,6 +145,10 @@ def mode_value_even_product(nu, k: int) -> float:
 
     which needs no Gamma evaluations at all. Serves as an independent
     route against mode_value for even dimensions.
+
+    The running product is kept as value * 2**scale with value between
+    2^-512 and 2^512, so it never passes through the subnormals; wherever
+    the plain product stays a normal double the bits are its own.
     """
     nu = check_dof(nu)
     k = check_dim(k)
@@ -152,10 +156,23 @@ def mode_value_even_product(nu, k: int) -> float:
         raise DomainError(f"the product form exists only for even dimensions, got k={k}")
     if math.isinf(nu):
         return (2.0 * math.pi) ** (-0.5 * k)
-    value = 0.5 * math.pi ** (-0.5 * k)
+    value, scale = 0.5 * math.pi ** (-0.5 * k), 0
+    if value < _NORMAL_MIN:
+        # k > 1236: the start itself is below the normal doubles, so build
+        # pi^(-k/2) from normal powers pi^-512
+        value = 0.5
+        for h in range(k // 2, 0, -512):
+            value, e = math.frexp(value * math.pi ** -min(h, 512))
+            scale += e
     for j in range(1, k // 2):
         value *= 0.5 + j / nu
-    return value
+        if not 2.0**-512 <= value <= 2.0**512:
+            value, e = math.frexp(value)
+            scale += e
+    try:
+        return math.ldexp(value, scale)
+    except OverflowError:
+        return math.inf
 
 
 def _product_rel(nu: float, k: int) -> float:

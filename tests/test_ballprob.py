@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from tmode import ballprob, errors
+from tmode.specfun import reg_lower_inc_gamma
 
 RADII = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
 
@@ -76,6 +77,23 @@ class TestClosedForm:
             # one ulp of ln P (about 700 here) is 1.1e-13 of P; below the
             # normal doubles P keeps that, plus one subnormal ulp
             assert abs(ballprob.ball_prob(nu, k, r) - want) <= 2e-13 * want + 5e-324
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 20])
+    def test_gaussian_tiny_radius_against_mpmath(self, k):
+        # r^2 falls below the normal doubles; ball_prob(inf, 1, 1e-200) was 0.0
+        for i in range(158):
+            r = 10.0 ** (-307 + i)
+            with mp.workdps(30):
+                want = mp.gammainc(mp.mpf(k) / 2, 0, mp.mpf(r) ** 2 / 2, regularized=True)
+            # for k >= 2 the value is below the normal doubles: one subnormal ulp
+            assert abs(ballprob.ball_prob(math.inf, k, r) - want) <= 1e-13 * want + (0.0 if k == 1 else 5e-324), r
+
+    def test_gaussian_keeps_its_bits_from_normal_squares(self):
+        rng = random.Random(5)
+        radii = [1.5e-154, 1.6e-154, 1e-150, 1e-100, 0.1, 3.0] + [10.0 ** rng.uniform(-154.0, 2.0) for _ in range(200)]
+        for k in (1, 2, 3, 20):
+            for r in radii:
+                assert ballprob.ball_prob(math.inf, k, r).hex() == reg_lower_inc_gamma(0.5 * k, 0.5 * r * r).hex()
 
     def test_both_arguments_round_up(self):
         # r^2 + nu rounds down, so x = r^2/(r^2 + nu) and 1 - x = nu/(r^2 + nu)

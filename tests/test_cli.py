@@ -323,13 +323,13 @@ class TestSample:
 
     def test_several_radii_make_each_normal_once(self, monkeypatch):
         made = []
-        box_muller = mcoracle.SplitMix64._box_muller
+        normals = mcoracle.SplitMix64._normals
 
-        def counted(gen, out, *args):
-            made.append(out.size)
-            box_muller(gen, out, *args)
+        def counted(gen, buf, p, pairs, lo, hi):
+            made.append(hi - lo)
+            return normals(gen, buf, p, pairs, lo, hi)
 
-        monkeypatch.setattr(mcoracle.SplitMix64, "_box_muller", counted)
+        monkeypatch.setattr(mcoracle.SplitMix64, "_normals", counted)
         args = ["sample", "--nu", "2", "--k", "3", "--n", "20001", "--seed", "5", "--precision", "full"]
         one = [invoke([*args, "--radius", r]) for r in ("1.0", "0.5")]
         made_one = sum(made)

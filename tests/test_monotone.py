@@ -148,6 +148,14 @@ class TestScaledDerivativeSum:
             assert monotone._scaled_derivative_sum(nu, k).hex() == loop_scaled_derivative_sum(nu, k).hex(), nu
 
 
+def loop_even_product(nu: float, k: int) -> float:
+    """The previous mode_value_even_product at finite nu, kept as the reference for its bits."""
+    value = 0.5 * math.pi ** (-0.5 * k)
+    for j in range(1, k // 2):
+        value *= 0.5 + j / nu
+    return value
+
+
 class TestEvenProduct:
     def test_matches_mode_value(self):
         # Independent route for even dimensions: a finite product of
@@ -172,6 +180,20 @@ class TestEvenProduct:
     def test_odd_dimension_rejected(self):
         with pytest.raises(errors.DomainError):
             monotone.mode_value_even_product(2.0, 3)
+
+    @pytest.mark.parametrize("nu,k", [(471.375, 1200), (100.0, 1240), (100.0, 1300), (300.0, 2000), (100.0, 2000)])
+    def test_past_the_subnormals_against_mpmath(self, nu, k):
+        # at (471.375, 1200) the plain running product dips below 2.2e-308 and
+        # came out 4.38e-281 for 4.21e-281; from k = 1238 the start
+        # 0.5 pi^(-k/2) is itself below the normal doubles
+        with mp.workdps(60):
+            want = 0.5 * mp.pi ** (-mp.mpf(k) / 2) * mp.fprod(mp.mpf(0.5) + j / mp.mpf(nu) for j in range(1, k // 2))
+            assert abs(monotone.mode_value_even_product(nu, k) - want) <= 1e-12 * want
+
+    def test_same_bits_where_the_plain_product_stays_normal(self):
+        for k in range(2, 241, 2):
+            for nu in monotone.default_nu_grid():
+                assert monotone.mode_value_even_product(nu, k).hex() == loop_even_product(nu, k).hex(), (nu, k)
 
 
 class TestClassification:
