@@ -81,9 +81,9 @@ class SplitMix64:
         return self._words(self._position - n, n, uniform=True)
 
     def _normals(self, buf: np.ndarray, p: int, pairs: int, lo: int, hi: int) -> np.ndarray:
-        """Normals lo .. hi-1 of the Box-Muller run of pairs pairs at p (u1 words from p, u2 from p + pairs).
+        """Normals lo .. hi-1 of the Box-Muller run at p: u1 words from p, u2 words from p + pairs.
 
-        The pairs that cover them fill the front of buf; the result is a view of exactly those normals.
+        The pairs that cover them fill the front of buf, and the result is a view of exactly those normals.
         """
         a, m = lo // 2, (hi + 1) // 2 - lo // 2
         radius = np.sqrt(-2.0 * np.log(self._words(p + a, m, uniform=True)))
