@@ -2,9 +2,9 @@
 
 The closed form reduces P(|X| <= r) to the regularized incomplete beta
 (finite nu) or the regularized lower incomplete gamma (Gaussian limit).
-The quadrature route integrates the radial density with adaptive Simpson
-refinement and knows nothing about either incomplete function, so the
-two can be played against each other as a cross-check.
+The quadrature route integrates the radial density with the tanh-sinh
+rule and knows nothing about either incomplete function, so the two can
+be played against each other as a cross-check.
 
 table1() reproduces the published 4x4 grid of ball probabilities at
 r = 0.1 that motivates the whole exercise: mass increasing in the tail
@@ -14,17 +14,15 @@ dimensions 3 and 4.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, QuadratureConvergenceError
-from .specfun import _NORMAL_MIN, _reg_inc_beta, _require_nonnegative, digamma, log_gamma, reg_lower_inc_gamma
-from .tdist import check_dim, check_dof, log_mode_value
+from .specfun import _NORMAL_MIN, _log_gamma_ratio, _reg_inc_beta, _require_nonnegative, digamma, reg_lower_inc_gamma
+from .tdist import check_dim, check_dof
 
 __all__ = [
-    "QUAD_ABS_TOL",
-    "QUAD_REL_TOL",
-    "QUAD_MAX_DEPTH",
     "QuadResult",
     "ball_prob",
     "ball_prob_quadrature",
@@ -37,12 +35,6 @@ __all__ = [
     "TABLE1_DECIMALS",
     "format_published",
 ]
-
-
-# adaptive Simpson's tolerance is max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|)
-QUAD_ABS_TOL = 1e-10
-QUAD_REL_TOL = 1e-12
-QUAD_MAX_DEPTH = 60
 
 
 class QuadResult(NamedTuple):
@@ -94,82 +86,89 @@ def ball_prob(nu, k: int, r) -> float:
     return _reg_inc_beta(0.5 * k, 0.5 * nu, x, y, log_x)
 
 
-def _simpson_recurse(
-    f: Callable[[float], float],
-    a: float,
-    fa: float,
-    m: float,
-    fm: float,
-    b: float,
-    fb: float,
-    whole: float,
-    tol: float,
-    depth_left: int,
-) -> tuple[float, float, bool]:
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, abs(delta) / 15.0, True
-    if depth_left == 0:
-        # out of depth: report the Richardson-extrapolated value anyway
-        return left + right + delta / 15.0, abs(delta) / 15.0, False
-    lv, le, lok = _simpson_recurse(f, a, fa, lm, flm, m, fm, left, 0.5 * tol, depth_left - 1)
-    rv, re, rok = _simpson_recurse(f, m, fm, rm, frm, b, fb, right, 0.5 * tol, depth_left - 1)
-    return lv + rv, le + re, lok and rok
+@functools.cache
+def _nodes(level: int) -> tuple[tuple[float, float], ...]:
+    # tanh-sinh nodes new on this level, t = j 0.375 / 2^level <= 4.5 (j odd past level 0), as
+    # (distance from an end as a fraction of the interval, weight); each end takes t = 0 at half weight
+    nodes = []
+    for j in range(13) if level == 0 else range(1, 12 << level, 2):
+        u = 0.5 * math.pi * math.sinh(t := j * 0.375 * 0.5**level)
+        w = 0.25 * math.pi * math.cosh(t) / math.cosh(u) ** 2
+        nodes.append((1.0 / (1.0 + math.exp(2.0 * u)), w if j else 0.5 * w))
+    return tuple(nodes)
 
 
-def _adaptive_simpson(f, a: float, b: float) -> QuadResult:
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(whole))
-    value, err, ok = _simpson_recurse(f, a, fa, m, fm, b, fb, whole, tol, QUAD_MAX_DEPTH)
-    if not ok:
-        raise QuadratureConvergenceError(
-            f"refinement depth {QUAD_MAX_DEPTH} exhausted on [{a}, {b}]",
-            best_estimate=value,
-            error_estimate=err,
-        )
-    return QuadResult(value, err)
+def _tanh_sinh(parts) -> QuadResult:
+    """Sum over (log_f, a, b) in parts of the integral of exp(log_f) on [a, b].
+
+    Tanh-sinh (Takahasi & Mori 1974), its step halved each level; a node at
+    a + (b - a) d or b - (b - a) d keeps its relative accuracy near an end.
+    Level 0 drops each end's nodes past the first below 1e-15 of the sum. It
+    stops once two levels differ by at most 1e-10 of the value (no absolute
+    floor) and raises QuadratureConvergenceError at level 7.
+    """
+    sides = [(log_f, end, step) for log_f, a, b in parts if b > a for end, step in ((a, b - a), (b, a - b))]
+    terms = [[abs(step) * w * math.exp(log_f(end + step * d)) for d, w in _nodes(0)] for log_f, end, step in sides]
+    raw = sum(map(sum, terms))
+    lasts = [min(12, 1 + max((j for j, g in enumerate(t) if g > 1e-15 * raw), default=-1)) for t in terms]
+    # the outermost kept nodes' share: large where mass lies past them, so that sum runs to the cap
+    edge = sum(t[last] for t, last in zip(terms, lasts))
+    value = 0.375 * raw
+    for level in range(1, 8):
+        for (log_f, end, step), last in zip(sides, lasts):
+            raw += abs(step) * sum(w * math.exp(log_f(end + step * d)) for d, w in _nodes(level)[: last << level - 1])
+        h = 0.375 * 0.5**level
+        prev, value = value, h * raw
+        error = abs(value - prev) + h * edge
+        if error <= 1e-10 * value:
+            return QuadResult(value, error)
+    raise QuadratureConvergenceError("tanh-sinh level cap 7 reached", best_estimate=value, error_estimate=error)
 
 
 def ball_prob_quadrature(nu, k: int, r) -> QuadResult:
-    """P(|X| <= r) by integrating the radial density.
+    """P(|X| <= r) by integrating the radial density with the tanh-sinh rule.
 
-    Integrates  S(k) * s^(k-1) * f(s e1)  over [0, r], where S(k) is the
-    surface area of the unit (k-1)-sphere, to the fixed QUAD_* tolerances.
-    Returns the value with its error estimate; raises
-    QuadratureConvergenceError (carrying the best estimate) if
-    QUAD_MAX_DEPTH refinement levels run out.
+    For finite nu the density of s = |X| is C sin^(k-1) theta cos^(nu-1) theta in
+    theta = atan(s / sqrt(nu)), split at pi/4, the radial mode and s = sqrt(k-1) + 40,
+    and taken in pi/2 - theta above pi/4. At nu = inf it is the chi density up to
+    sqrt(k-1) + 40, past which it is below e^-800 of its peak. Within 1e-13
+    relative of ball_prob on the published grid and on nu >= 0.7, k <= 6, r in
+    [0.01, 10] (measured 8.0e-15); mass past the last node (nu <= 0.01 at r = 1e150) raises.
     """
     nu = check_dof(nu)
     k = check_dim(k)
     r = _require_nonnegative(r, "radius")
-    if r == 0.0:
-        return QuadResult(0.0, 0.0)
+    a, s, k1, root_k1 = 0.5 * nu, 0.5 * k, k - 1, math.sqrt(k - 1)
+    # ln of S(k) (2 pi)^(-k/2), with S(k) the surface area of the unit (k-1)-sphere
+    log_chi = (1.0 - s) * math.log(2.0) - math.lgamma(s)
+    if math.isinf(nu):
+        top = min(r, root_k1 + 40.0)
 
-    log_surface = math.log(2.0) + 0.5 * k * math.log(math.pi) - log_gamma(0.5 * k)
-    base = log_mode_value(nu, k)
-    gaussian = math.isinf(nu)
-    # the same products as written out per point, so the same bits
-    half_nu_k = 0.5 * (nu + k)
-    k1 = k - 1
+        def chi(x: float) -> float:
+            return log_chi + k1 * math.log(x) - 0.5 * x * x if x else (log_chi if k1 == 0 else -math.inf)
 
-    def integrand(s: float) -> float:
-        if gaussian:
-            log_f = base - 0.5 * s * s
-        else:
-            log_f = base - half_nu_k * math.log1p(s * s / nu)
-        if s == 0.0:
-            return math.exp(log_surface + log_f) if k == 1 else 0.0
-        return math.exp(log_surface + k1 * math.log(s) + log_f)
+        return _tanh_sinh([(chi, 0.0, min(root_k1, top)), (chi, root_k1, top)])
+    # ln C = ln(2 Gamma(a + s) / (Gamma(a) Gamma(s))) less (k-1) ln scale, from terms small at each end of nu
+    if nu <= 1.0:
+        scale, log_c = 1.0, math.log(nu) - math.lgamma(1.0 + a) + _log_gamma_ratio(s, a) + a * math.log(s)
+    else:
+        scale, log_c = math.sqrt(nu), log_chi + _log_gamma_ratio(a, s) + 0.5 * math.log(nu)
+    log_c_phi = log_c + k1 * math.log(scale)
+    half = 0.5 * (nu + k - 2.0)  # ln cos = -log1p(tan^2) / 2
 
-    return _adaptive_simpson(integrand, 0.0, r)
+    def in_theta(x: float) -> float:
+        ts = scale * (t := math.tan(x))
+        return log_c + k1 * math.log(ts) - half * math.log1p(t * t) if ts else (log_c if k1 == 0 else -math.inf)
+
+    def in_phi(x: float) -> float:
+        return log_c_phi + (nu - 1.0) * math.log(t := math.tan(x)) - half * math.log1p(t * t)
+
+    # ends (theta, pi/2 - theta) = (atan2(y, x), atan2(x, y)); parts past pi/4 run in pi/2 - theta
+    yx = ((0.0, 1.0), (1.0, 1.0), (root_k1, math.sqrt(nu + 1.0)), (root_k1 + 40.0, math.sqrt(nu)), (r, math.sqrt(nu)))
+    ends = [(math.atan2(y, x), math.atan2(x, y)) for y, x in yx]
+    ends = sorted(end for end in ends if end[0] <= ends[-1][0])
+    parts = [(in_theta, lo[0], hi[0]) if hi[0] <= hi[1] else (in_phi, hi[1], lo[1]) for lo, hi in zip(ends, ends[1:])]
+    return _tanh_sinh(parts)
 
 
 # ------------------------------------------------------------------ table 1

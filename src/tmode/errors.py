@@ -27,7 +27,7 @@ class MomentExistenceError(ValueError):
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Adaptive quadrature exhausted its refinement depth.
+    """The quadrature reached its level cap without converging.
 
     Carries the best estimate obtained so far plus the achieved error
     estimate, so callers can still inspect the partial result.

@@ -247,15 +247,14 @@ def _sweep(k: int, vals: tuple[float, ...]) -> tuple[MonotonicityReport, array]:
     max_residual = 0.0
     witnesses = []
     # log_mode_value(nu +/- h, k) less its checks: k and the grid are checked, and
-    # 0 < h < nu; _log_ratio_nu takes nu + h = inf and an nu - h that halves to 0
-    half_k = 0.5 * k
-    pi_term = half_k * _LN_2PI
+    # 0 < h < nu; _log_ratio_nu takes nu + h = inf and a subnormal nu - h
+    pi_term = 0.5 * k * _LN_2PI
     for nu, s in zip(vals, sums):
         h = nu * FD_STEP_SCALE
         if not h:
             continue
         d = 0.5 * s / nu / (nu + k)
-        fd = ((_log_ratio_nu(nu + h, half_k) - pi_term) - (_log_ratio_nu(nu - h, half_k) - pi_term)) / (2.0 * h)
+        fd = ((_log_ratio_nu(nu + h, k) - pi_term) - (_log_ratio_nu(nu - h, k) - pi_term)) / (2.0 * h)
         # where both saturate to +/-inf (below about nu = 1e-308) there is no residual
         if math.isfinite(d) and math.isfinite(fd):
             max_residual = max(max_residual, abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d)))

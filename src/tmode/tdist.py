@@ -32,7 +32,7 @@ import operator
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, MomentExistenceError
-from .specfun import _NOT_REAL, _log_gamma_ratio, _real, _require_count, _require_nonnegative, log_gamma_ratio
+from .specfun import _NORMAL_MIN, _NOT_REAL, _log_gamma_ratio, _real, _require_count, _require_nonnegative
 
 __all__ = [
     "GAUSSIAN_DOF",
@@ -83,19 +83,20 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _log_ratio_nu(nu: float, s: float) -> float:
-    # Q(nu/2, s) for a checked nu and a finite s, which is 0 in the Gaussian limit.
-    # Only nu = 5e-324 halves to 0; there Q has reached its a -> 0 limit
-    # lgamma(s) + (1 - s) ln a (0 at s = 0)
+def _log_ratio_nu(nu: float, two_s: float) -> float:
+    # Q(nu/2, two_s/2) for a checked nu and a finite two_s, k for a mode value or -m
+    # for a moment of order m < nu; 0 in the Gaussian limit. Halving nu below 2^-1021
+    # rounds, by up to a third of it, so there Q takes its a -> 0 limit from nu and
+    # two_s themselves: lgamma(s) + (1 - s)(ln nu - ln 2) for s > 0, and ln(nu / (nu - m))
+    # for s = -m/2, where nu - m is exact
     if math.isinf(nu):
         return 0.0
-    a = 0.5 * nu
-    if a == 0.0:
-        return math.lgamma(s) + (1.0 - s) * (math.log(nu) - math.log(2.0)) if s else 0.0
-    if a + s <= 0.0:
-        # a moment order m < nu whose half rounds to nu/2, at subnormal nu
-        return log_gamma_ratio(a, s)  # raises DomainError
-    return _log_gamma_ratio(a, s)
+    if 0.5 * nu <= _NORMAL_MIN:
+        if two_s > 0.0:
+            s = 0.5 * two_s
+            return math.lgamma(s) + (1.0 - s) * (math.log(nu) - math.log(2.0))
+        return math.log(nu / (nu + two_s)) if two_s else 0.0
+    return _log_gamma_ratio(0.5 * nu, 0.5 * two_s)
 
 
 def log_mode_value(nu, k: int) -> float:
@@ -106,7 +107,7 @@ def log_mode_value(nu, k: int) -> float:
     """
     nu = check_dof(nu)
     k = check_dim(k)
-    return _log_ratio_nu(nu, 0.5 * k) - (0.5 * k) * _LN_2PI
+    return _log_ratio_nu(nu, k) - (0.5 * k) * _LN_2PI
 
 
 def mode_value(nu, k: int) -> float:
@@ -172,7 +173,7 @@ def radial_moment(nu, k: int, m) -> float:
     k = check_dim(k)
     m = _check_moment_order(m, nu)
     # k >= 1 and a finite m >= 0 pass log_gamma_ratio's checks
-    return _exp(0.5 * m * math.log(k) + _log_gamma_ratio(0.5 * k, 0.5 * m) + _log_ratio_nu(nu, -0.5 * m))
+    return _exp(0.5 * m * math.log(k) + _log_gamma_ratio(0.5 * k, 0.5 * m) + _log_ratio_nu(nu, -m))
 
 
 def moment_ratio(nu1, nu2, k: int, m) -> float:
@@ -192,7 +193,7 @@ def moment_ratio(nu1, nu2, k: int, m) -> float:
     nu2 = check_dof(nu2)
     check_dim(k)
     m = _check_moment_order(m, nu1, nu2)
-    return _exp(_log_ratio_nu(nu1, -0.5 * m) - _log_ratio_nu(nu2, -0.5 * m))
+    return _exp(_log_ratio_nu(nu1, -m) - _log_ratio_nu(nu2, -m))
 
 
 def kurtosis_ratio(nu1, nu2, k: int) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import mpmath as mp
 import pytest
@@ -150,14 +151,35 @@ class TestClosedForm:
             ballprob.ball_prob(3.0, 0, 0.1)
 
 
+# ball_prob_quadrature's measured agreement with the closed form, from its docstring
+QUAD_RTOL = 1e-13
+
+# ball masses against mpmath 1.3, P = 1 - I_y(nu/2, k/2) with y = nu / (r^2 + nu)
+# (gammainc at nu = inf), digits scaled with |log10 nu|
+QUAD_REFERENCES = [
+    # mp.dps = 44; 1 - mp.betainc(mpf(1e4) / 2, 10, 0, y, regularized=True)
+    (1e4, 20, 4.0, 0.2834748574214832),
+    # mp.dps = 52; 1 - mp.betainc(mpf(1e12) / 2, 10, 0, y, regularized=True)
+    (1e12, 20, 5.0, 0.7985688950511167),
+    # mp.dps = 40; 1 - mp.betainc(mpf(1) / 2, 250, 0, y, regularized=True)
+    (1.0, 500, 20.0, 0.264089364376041),
+    # mp.dps = 40; 1 - mp.betainc(mpf(0.5) / 2, mpf(1) / 2, 0, y, regularized=True)
+    (0.5, 1, 1e8, 0.9999358598049172),
+    # mp.dps = 40; mp.gammainc(250, 0, mpf(1e150) ** 2 / 2, regularized=True)
+    (math.inf, 500, 1e150, 1.0),
+    # mp.dps = 40; 1 - mp.betainc(mpf(0.3) / 2, mpf(7) / 2, 0, y, regularized=True)
+    (0.3, 7, 1e150, 1.0),
+]
+
+
 class TestQuadrature:
     def test_agrees_on_published_grid(self):
         for nu in ballprob.TABLE1_NU:
             for k in ballprob.TABLE1_DIMS:
                 closed = ballprob.ball_prob(nu, k, ballprob.TABLE1_RADIUS)
                 quad = ballprob.ball_prob_quadrature(nu, k, ballprob.TABLE1_RADIUS)
-                assert abs(quad.value - closed) <= 1e-8
-                assert quad.error_estimate <= 1e-8
+                assert abs(quad.value - closed) <= QUAD_RTOL * closed
+                assert quad.error_estimate <= 1e-10 * quad.value
 
     def test_agrees_on_random_cases(self):
         rng = random.Random(515)
@@ -168,7 +190,7 @@ class TestQuadrature:
             r = math.exp(rng.uniform(math.log(0.01), math.log(10.0)))
             closed = ballprob.ball_prob(nu, k, r)
             quad = ballprob.ball_prob_quadrature(nu, k, r)
-            assert abs(quad.value - closed) <= 1e-8
+            assert abs(quad.value - closed) <= QUAD_RTOL * closed
 
     def test_zero_radius(self):
         result = ballprob.ball_prob_quadrature(3.0, 2, 0.0)
@@ -178,16 +200,38 @@ class TestQuadrature:
         result = ballprob.ball_prob_quadrature(2.0, 3, 1.5)
         assert 0.0 <= result.error_estimate < 1e-8
 
-    def test_depth_exhaustion_raises_with_partial_result(self, monkeypatch):
-        monkeypatch.setattr(ballprob, "QUAD_ABS_TOL", 1e-300)
-        monkeypatch.setattr(ballprob, "QUAD_REL_TOL", 1e-300)
-        monkeypatch.setattr(ballprob, "QUAD_MAX_DEPTH", 3)
+    def test_level_cap_raises_with_partial_result(self):
+        # across a jump each halving moves the sum by about the step, so no two levels agree to 1e-10
+        step = [(lambda x: 0.0 if x < 1.0 / 3.0 else -math.inf, 0.0, 1.0)]
         with pytest.raises(errors.QuadratureConvergenceError) as info:
-            ballprob.ball_prob_quadrature(2.0, 3, 1.5)
+            ballprob._tanh_sinh(step)
         err = info.value
-        closed = ballprob.ball_prob(2.0, 3, 1.5)
-        assert err.best_estimate == pytest.approx(closed, rel=1e-3)
+        assert math.isfinite(err.best_estimate)
+        assert err.best_estimate == pytest.approx(1.0 / 3.0, rel=1e-2)
         assert err.error_estimate > 0.0
+
+    @pytest.mark.parametrize("nu, k, r", [(10.0, 3, 1e4), (math.inf, 4, 1e3)])
+    def test_wide_radius_holds_all_the_mass(self, nu, k, r):
+        # the mass sits in a sliver of [0, r] near the mode, which an absolute floor let the rule miss
+        assert abs(ballprob.ball_prob_quadrature(nu, k, r).value - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("nu, k, r, want", QUAD_REFERENCES)
+    def test_against_mpmath(self, nu, k, r, want):
+        assert abs(ballprob.ball_prob_quadrature(nu, k, r).value - want) <= 1e-13 * want
+
+    def test_wide_radius_is_fast(self):
+        start = time.perf_counter()
+        quad = ballprob.ball_prob_quadrature(1.0, 2, 1e8)
+        assert time.perf_counter() - start < 0.1
+        # P = 1 - 1 / sqrt(1 + r^2) in the plane at nu = 1
+        assert abs(quad.value - (1.0 - 1e-8)) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [1e-8, 0.01])
+    def test_mass_past_the_last_node_raises(self, nu):
+        # log-uniform mass over about 150 decades of pi/2 - theta: no level reaches it
+        with pytest.raises(errors.QuadratureConvergenceError) as info:
+            ballprob.ball_prob_quadrature(nu, 3, 1e150)
+        assert info.value.error_estimate > 1e-10 * info.value.best_estimate
 
 
 class TestPublishedTable:

@@ -264,7 +264,7 @@ class TestExitOne:
         assert lines[0].startswith(first_problem)
         assert all(line.startswith(("violation: ", "mismatch at ")) for line in lines)
         with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert cli.main.main(args, prog_name="tmode", standalone_mode=False) == 1
+            assert cli.main(args, prog_name="tmode", standalone_mode=False) == 1
         assert out.getvalue() == result.stdout
 
 

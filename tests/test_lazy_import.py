@@ -32,7 +32,7 @@ import tmode.cli
 seen.append(["import tmode.cli", "numpy" in sys.modules, late()])
 for line in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = tmode.cli.main.main(args=line.split(), prog_name="tmode", standalone_mode=False)
+        code = tmode.cli.main(args=line.split(), prog_name="tmode", standalone_mode=False)
     seen.append([line, "numpy" in sys.modules, code or 0, late()])
 print(repr(seen))
 """

@@ -173,6 +173,15 @@ class TestModeValue:
         ):
             assert tdist.log_mode_value(nu, k) == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 1001])
+    def test_subnormal_tail_weight_against_mpmath(self, n):
+        # nu = n 2^-1074, whose half rounds for odd n: ln c from nu itself, not nu/2
+        nu = n * 2.0**-1074
+        for k in (1, 2, 3, 20, 500):
+            with mp.workdps(60):
+                want = mp.loggamma((mp.mpf(nu) + k) / 2) - mp.loggamma(mp.mpf(nu) / 2) - mp.mpf(k) / 2 * mp.log(mp.pi * nu)
+            assert tdist.log_mode_value(nu, k) == pytest.approx(float(want), rel=1e-15), (n, k)
+
     def test_log_consistency(self):
         for nu, k, want in MODE_VALUE_REFS:
             assert math.exp(tdist.log_mode_value(nu, k)) == pytest.approx(want, rel=1e-13)
@@ -360,13 +369,24 @@ class TestRadialMoment:
                 assert abs(tdist.radial_moment(nu, k, m) / want - 1) <= 1e-13, (nu, k, m)
 
     def test_halved_order_ties_halved_subnormal_tail_weight(self):
-        # m < nu, yet m/2 and nu/2 both round to 2^-1073: the Gamma quotient's check fires
+        # m < nu, yet m/2 and nu/2 both round to 2^-1073; E|X|^m -> nu / (nu - m) = 5
+        # as nu -> 0, taken from nu and m themselves
         nu, m = 2.5e-323, 2e-323
         assert m < nu and 0.5 * m == 0.5 * nu
-        with pytest.raises(errors.DomainError, match="a \\+ s > 0"):
-            tdist.radial_moment(nu, 1, m)
-        with pytest.raises(errors.DomainError, match="a \\+ s > 0"):
-            tdist.moment_ratio(nu, 3.0, 1, m)
+        assert tdist.radial_moment(nu, 1, m) == pytest.approx(5.0, rel=1e-15)
+        assert tdist.moment_ratio(nu, 3.0, 1, m) == pytest.approx(5.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 1001])
+    def test_subnormal_tail_weight_against_mpmath(self, n):
+        # nu = n 2^-1074, whose half rounds for odd n
+        nu = n * 2.0**-1074
+        for m in (2.0**-1074, 2.0**-1073, nu - 2.0**-1074):
+            for k in (1, 3, 20):
+                with mp.workdps(60):
+                    want = mp.exp(log_moment_nu(nu, m) + mp.loggamma((mp.mpf(k) + m) / 2) - mp.loggamma(mp.mpf(k) / 2))
+                    ratio = want / mp.exp(log_moment_nu(3.0, m) + mp.loggamma((mp.mpf(k) + m) / 2) - mp.loggamma(mp.mpf(k) / 2))
+                assert tdist.radial_moment(nu, k, m) == pytest.approx(float(want), rel=1e-15), (n, m, k)
+                assert tdist.moment_ratio(nu, 3.0, k, m) == pytest.approx(float(ratio), rel=1e-15), (n, m, k)
 
     def test_bad_order(self):
         with pytest.raises(errors.DomainError):
