@@ -2,21 +2,20 @@
 multivariate Student t distributions, with the Gaussian as the
 infinite-degrees-of-freedom member of the family.
 
-The Monte Carlo oracle (`tmode.mcoracle` and the names it exports) is
-loaded on first use: it is the only part of the package that needs
-numpy, whose import costs more than the rest of the package together.
+`errors`, `specfun` and `tdist` load with the package: every CLI
+subcommand needs them. `ballprob`, `monotone` and `mcoracle`, and the
+names each exports here, load on first use (`_DEFERRED` maps each to its
+names). `mcoracle` is the only part that needs numpy, whose import costs
+more than the rest of the package together. The other two are deferred
+because a `tmode` process without valid bytecode compiles every module
+it imports, so a subcommand that does not run them should not pay for
+them: ball probabilities (`table1`, `sample`) need `ballprob`, and the
+log-spaced grids and the monotonicity checks (`mode-value --log`, the
+default `mode-value` grid, `verify`) need `monotone`.
 """
 
 import importlib
 
-from .ballprob import (
-    QuadResult,
-    Table1Row,
-    ball_prob,
-    ball_prob_quadrature,
-    format_published,
-    table1,
-)
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -24,14 +23,6 @@ from .errors import (
     MomentExistenceError,
     MonotonicityViolationError,
     QuadratureConvergenceError,
-)
-from .monotone import (
-    MonotonicityReport,
-    classify_monotonicity,
-    default_nu_grid,
-    dlog_mode_value,
-    induction_step_check,
-    mode_value_even_product,
 )
 from .specfun import digamma, log_gamma, log_gamma_ratio, polygamma, reg_inc_beta, reg_lower_inc_gamma
 from .tdist import (
@@ -91,13 +82,25 @@ __all__ = [
 ]
 
 
-_MCORACLE_NAMES = frozenset(
-    ("SampleBatch", "SplitMix64", "estimate_ball_prob", "estimate_ball_prob_prefixes", "sample_t")
-)
+# deferred submodule -> the names it exports here
+_DEFERRED = {
+    "ballprob": ("QuadResult", "Table1Row", "ball_prob", "ball_prob_quadrature", "format_published", "table1"),
+    "monotone": (
+        "MonotonicityReport",
+        "classify_monotonicity",
+        "default_nu_grid",
+        "dlog_mode_value",
+        "induction_step_check",
+        "mode_value_even_product",
+    ),
+    "mcoracle": ("SampleBatch", "SplitMix64", "estimate_ball_prob", "estimate_ball_prob_prefixes", "sample_t"),
+}
+_HOMES = {name: module for module, names in _DEFERRED.items() for name in names}
 
 
 def __getattr__(name):
-    if name == "mcoracle" or name in _MCORACLE_NAMES:
-        mcoracle = importlib.import_module(".mcoracle", __name__)
-        return mcoracle if name == "mcoracle" else getattr(mcoracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = name if name in _DEFERRED else _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + home, __name__)
+    return module if name == home else getattr(module, name)

@@ -131,9 +131,12 @@ def ball_prob_quadrature(nu, k: int, r) -> QuadResult:
     For finite nu the density of s = |X| is C sin^(k-1) theta cos^(nu-1) theta in
     theta = atan(s / sqrt(nu)), split at pi/4, the radial mode and s = sqrt(k-1) + 40,
     and taken in pi/2 - theta above pi/4. At nu = inf it is the chi density up to
-    sqrt(k-1) + 40, past which it is below e^-800 of its peak. Within 1e-13
-    relative of ball_prob on the published grid and on nu >= 0.7, k <= 6, r in
-    [0.01, 10] (measured 8.0e-15); mass past the last node (nu <= 0.01 at r = 1e150) raises.
+    sqrt(k-1) + 40, past which it is below e^-800 of its peak. Measured for
+    k <= 500: within 1e-13 relative of ball_prob on the published grid and on
+    nu >= 0.7, k <= 6, r in [0.01, 10] (8.0e-15), and within 1.8e-13 of mpmath
+    over nu in [1e-8, 1e12] plus inf, r in [1e-200, 1e150]. The rounding of the
+    ln Gamma(k/2) and (k-1) ln s terms grows with k: at k = 5000 the result
+    reaches 1 + 1.4e-12. Mass past the last node (nu <= 0.01 at r = 1e150) raises.
     """
     nu = check_dof(nu)
     k = check_dim(k)

@@ -11,10 +11,13 @@ from the environment.
 Degrees of freedom are spelled "inf" for the Gaussian member. Numbers
 print with 6 significant digits unless --precision full is given.
 
-numpy is imported only for Monte Carlo (sample and table1 --n-mc), and
-json only under --format json, so every other command starts without
-paying for them. The parser is the standard library's argparse, built
-once per process.
+Each subcommand imports only the modules it runs, since a process
+without valid bytecode compiles every module it imports. Every command
+loads tdist, specfun and errors; ballprob loads for table1 and sample,
+monotone for the log-spaced grids (mode-value --log, the default
+mode-value grid, verify), numpy with mcoracle only for Monte Carlo
+(sample and table1 --n-mc), and json only under --format json. The
+parser is the standard library's argparse, built once per process.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import functools
 import math
 import sys
 
-from . import __version__, ballprob, monotone, tdist
+from . import __version__, tdist
 from .errors import ConvergenceError, DimensionMismatchError, DomainError, MomentExistenceError
 
 SCHEMA_VERSION = "1"
@@ -113,7 +116,11 @@ def _parse_grid(text: str, log: bool) -> list[float] | tuple[float, ...]:
         raise UsageError(f"grid endpoints must satisfy 0 < start < stop, got {text!r}")
     if count < 2:
         raise UsageError(f"grid needs at least 2 points, got {count}")
-    return monotone.default_nu_grid(start, stop, count) if log else _linspace(start, stop, count)
+    if not log:
+        return _linspace(start, stop, count)
+    from . import monotone
+
+    return monotone.default_nu_grid(start, stop, count)
 
 
 # subcommand name -> (body, options); the body maps its own options to
@@ -163,6 +170,8 @@ def cmd_mode_value(k, nu_text, grid_text, log_spaced):
     elif grid_text is not None:
         nus = _parse_grid(grid_text, log_spaced)
     else:
+        from . import monotone
+
         nus = monotone.default_nu_grid(*DEFAULT_FIGURE_GRID)
     return ["nu", "mode_value"], [[float(nu), tdist.mode_value(nu, k)] for nu in nus], []
 
@@ -178,6 +187,8 @@ def cmd_density_profile(k, nu_text, axis_range):
     lo, hi, n = _parse_range(axis_range, "axis range", "a:b:n")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi) or n < 2:
         raise UsageError(f"axis range needs finite a < b and n >= 2, got {axis_range!r}")
+    if math.isinf(hi - lo):
+        raise UsageError(f"axis range span b - a overflows to inf, got {axis_range!r}")
     if nu_text.strip().lower() == "all":
         nus = [1.0, 2.0, 10.0, math.inf]
     else:
@@ -205,6 +216,8 @@ def cmd_table1(n_mc, seed):
     exit code). The flag compares against 4 binomial standard errors at
     the analytic probability.
     """
+    from . import ballprob
+
     if n_mc is not None and n_mc < 1:
         raise UsageError(f"--n-mc must be a positive integer, got {n_mc}")
     header = ["nu", "k", "analytic", "published", "match"]
@@ -248,6 +261,8 @@ def cmd_verify(k_max, grid_text, points):
     independent route (closed product form for even k, the odd-dimension
     induction step for odd k >= 3). Exit 1 on any violation.
     """
+    from . import monotone
+
     if k_max < 3:
         raise UsageError(f"--k-max must be at least 3 to cover all three regimes, got {k_max}")
     if grid_text is not None and points is not None:
@@ -304,7 +319,7 @@ def cmd_sample(nu_text, k, n, seed, radii):
     The z column is (estimate - analytic) over the binomial standard
     error at the analytic probability.
     """
-    from . import mcoracle
+    from . import ballprob, mcoracle
 
     nu = tdist.check_dof(nu_text)
     batch = mcoracle.sample_t(nu, k, n, seed)

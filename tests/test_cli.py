@@ -158,6 +158,17 @@ class TestDensityProfile:
             result = invoke(["density-profile", "--k", "1", "--axis-range", bad])
             assert result.exit_code == 2
 
+    def test_range_whose_span_overflows(self):
+        # both ends are finite, but b - a is not, so no spacing can be printed
+        result = invoke(["density-profile", "--k", "2", "--axis-range", "-1e308:1e308:3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == (
+            "tmode density-profile: error: axis range span b - a overflows to inf, got '-1e308:1e308:3'"
+        )
+        # a finite span near the top of the doubles still prints
+        assert invoke(["density-profile", "--k", "2", "--axis-range", "-1e308:7e307:3"]).exit_code == 0
+
 
 class TestTable1:
     def test_default_run_matches_published(self):

@@ -1,6 +1,9 @@
-"""numpy stays off the import path until Monte Carlo needs it, and a plain
-`import tmode` does not load dataclasses either. Log-spaced grids are built
-without numpy, so their printed bytes do not depend on its CPU dispatch."""
+"""Each subcommand loads only the tmode modules it runs: `import tmode` and
+`import tmode.cli` load errors, specfun and tdist, and ballprob, monotone
+and mcoracle load on first use. numpy stays off the import path until Monte
+Carlo needs it, and a plain `import tmode` does not load dataclasses either.
+Log-spaced grids are built without numpy, so their printed bytes do not
+depend on its CPU dispatch."""
 
 import ast
 import os
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import tmode
-from tmode import mcoracle
+from tmode import ballprob, errors, mcoracle, monotone, specfun, tdist
 
 SRC = Path(tmode.__file__).resolve().parent.parent
 
@@ -19,23 +22,43 @@ MCORACLE_NAMES = ("SampleBatch", "SplitMix64", "estimate_ball_prob", "estimate_b
 
 # Runs in a fresh interpreter, one command per argument; prints, after
 # each step, whether numpy is loaded, after `import tmode` also whether
-# dataclasses is, and last which of json and click are. It imports json
-# itself for neither its input nor its output.
+# dataclasses is, then which of json and click are, and last which tmode
+# submodules are. It imports json itself for neither its input nor its
+# output.
 PROBE = """
 import contextlib, io, sys
 def late():
     return [name for name in ("json", "click") if name in sys.modules]
+def submodules():
+    return sorted(name[len("tmode."):] for name in sys.modules if name.startswith("tmode."))
 seen = []
 import tmode
-seen.append(["import tmode", "numpy" in sys.modules, "dataclasses" in sys.modules, late()])
+seen.append(["import tmode", "numpy" in sys.modules, "dataclasses" in sys.modules, late(), submodules()])
 import tmode.cli
-seen.append(["import tmode.cli", "numpy" in sys.modules, late()])
+seen.append(["import tmode.cli", "numpy" in sys.modules, late(), submodules()])
 for line in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = tmode.cli.main(args=line.split(), prog_name="tmode", standalone_mode=False)
-    seen.append([line, "numpy" in sys.modules, code or 0, late()])
+    seen.append([line, "numpy" in sys.modules, code or 0, late(), submodules()])
 print(repr(seen))
 """
+
+# what `import tmode.cli` loads, which every subcommand needs
+EAGER = ["cli", "errors", "specfun", "tdist"]
+
+# each subcommand and the deferred modules it loads
+SUBCOMMAND_LOADS = [
+    (["mode-value", "--nu", "3", "--k", "3"], []),
+    (["mode-value", "--k", "2", "--grid", "0.5:20:15"], []),
+    (["density-profile", "--k", "3", "--axis-range", "-2:2:9"], []),
+    (["moments", "--nu1", "5", "--nu2", "10", "--k", "3", "--m", "2"], []),
+    (["mode-value", "--k", "3"], ["monotone"]),
+    (["mode-value", "--k", "2", "--grid", "0.5:20:15", "--log"], ["monotone"]),
+    (["verify", "--k-max", "3", "--points", "20"], ["monotone"]),
+    (["table1"], ["ballprob"]),
+    (["table1", "--n-mc", "100"], ["ballprob", "mcoracle"]),
+    (["sample", "--nu", "3", "--k", "2", "--n", "100", "--seed", "1"], ["ballprob", "mcoracle"]),
+]
 
 NUMPY_FREE = [
     ["mode-value", "--nu", "3", "--k", "3"],
@@ -75,13 +98,26 @@ def test_numpy_free_commands_never_load_numpy():
     assert seen[0][2] is False, "import tmode loaded dataclasses"
     assert all(step[2] == 0 for step in seen[2:])
     # click is gone, and every command here prints CSV, which needs no json
-    assert [step[-1] for step in seen] == [[]] * len(seen)
+    assert [step[-2] for step in seen] == [[]] * len(seen)
+
+
+def test_imports_defer_ballprob_monotone_and_mcoracle():
+    seen = probe([])
+    assert seen[0][-1] == ["errors", "specfun", "tdist"]
+    assert seen[1][-1] == EAGER
+
+
+@pytest.mark.parametrize("argv, deferred", SUBCOMMAND_LOADS, ids=[" ".join(argv) for argv, _ in SUBCOMMAND_LOADS])
+def test_subcommand_loads_only_the_modules_it_runs(argv, deferred):
+    seen = probe([argv])
+    assert seen[-1][2] == 0
+    assert seen[-1][-1] == sorted(EAGER + deferred)
 
 
 def test_json_loads_only_for_json_output():
     seen = probe([["mode-value", "--k", "2", "--nu", "7", "--format", "json"]])
-    assert seen[1][-1] == []
-    assert seen[-1][1:] == [False, 0, ["json"]]
+    assert seen[1][-2] == []
+    assert seen[-1][1:-1] == [False, 0, ["json"]]
 
 
 def test_sample_loads_numpy():
@@ -96,11 +132,30 @@ def test_monte_carlo_names_resolve_to_mcoracle():
         assert getattr(tmode, name) is getattr(mcoracle, name)
 
 
+def test_public_names_resolve_to_their_home_modules():
+    # in import order, so a name one module takes from another is found at its source
+    homes = [errors, specfun, tdist, ballprob, monotone, mcoracle]
+    for name in tmode.__all__:
+        if name != "__version__":
+            home = next(module for module in homes if hasattr(module, name))
+            assert getattr(tmode, name) is getattr(home, name), name
+    for module in homes[3:]:
+        assert getattr(tmode, module.__name__.rpartition(".")[2]) is module
+
+
 def test_star_import_binds_all_public_names():
     namespace = {}
     exec("from tmode import *", namespace)
     assert set(tmode.__all__) <= set(namespace)
     assert namespace["sample_t"] is mcoracle.sample_t
+    assert namespace["table1"] is ballprob.table1
+    assert namespace["default_nu_grid"] is monotone.default_nu_grid
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        tmode.nonexistent
+    assert not hasattr(tmode, "cli_main")
 
 
 def _numpy_cpu_features():
