@@ -2,16 +2,12 @@
 multivariate Student t distributions, with the Gaussian as the
 infinite-degrees-of-freedom member of the family.
 
-`errors`, `specfun` and `tdist` load with the package: every CLI
-subcommand needs them. `ballprob`, `monotone` and `mcoracle`, and the
-names each exports here, load on first use (`_DEFERRED` maps each to its
-names). `mcoracle` is the only part that needs numpy, whose import costs
-more than the rest of the package together. The other two are deferred
-because a `tmode` process without valid bytecode compiles every module
-it imports, so a subcommand that does not run them should not pay for
-them: ball probabilities (`table1`, `sample`) need `ballprob`, and the
-log-spaced grids and the monotonicity checks (`mode-value --log`, the
-default `mode-value` grid, `verify`) need `monotone`.
+`errors`, `specfun` and `tdist`, which every CLI subcommand needs, load
+with the package. `ballprob` (for `table1` and `sample`), `monotone` (for
+the log-spaced grids and `verify`) and `mcoracle` (for Monte Carlo), and
+the names each exports here, load on first use: a process without valid
+bytecode compiles every module it imports, and `mcoracle` also imports
+numpy, which costs more than the rest of the package together.
 """
 
 import importlib
@@ -104,3 +100,7 @@ def __getattr__(name):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module("." + home, __name__)
     return module if name == home else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_DEFERRED, *_HOMES})

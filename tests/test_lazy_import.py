@@ -141,6 +141,7 @@ def test_public_names_resolve_to_their_home_modules():
             assert getattr(tmode, name) is getattr(home, name), name
     for module in homes[3:]:
         assert getattr(tmode, module.__name__.rpartition(".")[2]) is module
+    assert set(tmode.__all__) | {"ballprob", "monotone", "mcoracle"} <= set(dir(tmode))
 
 
 def test_star_import_binds_all_public_names():
