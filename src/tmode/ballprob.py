@@ -48,7 +48,9 @@ def ball_prob(nu, k: int, r) -> float:
     For finite nu the squared norm satisfies |X|^2/k ~ F(k, nu), so the
     probability is I_x(k/2, nu/2) at x = r^2/(r^2 + nu), with the
     complement 1 - x = nu/(r^2 + nu) passed alongside so it is never
-    formed by subtraction. Where r^2 or x falls below the normal doubles,
+    formed by subtraction. Where r^2 + nu overflows, both come from
+    ln(1 - x) = ln nu - 2 ln r - log1p(nu/r^2), which also goes to the
+    front factor. Where r^2 or x falls below the normal doubles,
     ln x = 2 ln r - ln(r^2 + nu) goes to the front factor instead, so tiny
     radii keep their relative accuracy. The Gaussian limit uses the
     chi-square law, P(k/2, r^2/2), or its leading series term where r^2
@@ -69,21 +71,24 @@ def ball_prob(nu, k: int, r) -> float:
         return reg_lower_inc_gamma(0.5 * k, 0.5 * r * r)
     r2 = r * r
     total = r2 + nu
+    log_min = None
     if math.isinf(total):
-        raise DomainError(f"r^2 + nu overflows at nu={nu!r}, r={r!r}")
-    y = nu / total
-    if y == 0.0 or 0.5 * nu == 0.0:
+        # r > 1.34e154: y = nu / (r^2 + nu) < 1/2, the smaller side, comes from its log
+        log_min = math.log(nu) - 2.0 * math.log(r) - math.log1p(nu / r / r)
+        y, x = math.exp(log_min), -math.expm1(log_min)
+    else:
+        y, x = nu / total, r2 / total
+    if (y == 0.0 and nu < 2.0**-51) or 0.5 * nu == 0.0:
         # nu < 4.4e-16: ln(1 - P) = b (ln y + psi(k/2) - psi(1)) to first order in b = nu/2,
         # clamped where r^2 is near nu and the true P is a few subnormals at most
-        log_tail = (math.log(nu) - math.log(total) + digamma(0.5 * k) - digamma(1.0)) * 0.5 * nu
+        log_y = math.log(nu) - math.log(total) if log_min is None else log_min
+        log_tail = (log_y + digamma(0.5 * k) - digamma(1.0)) * 0.5 * nu
         return max(0.0, -math.expm1(log_tail))
-    x = r2 / total
     # where r^2 or x falls below the normal doubles it has lost bits or
     # underflowed, so ln x, the log of the smaller side, comes from ln r
-    log_x = None
     if (x < _NORMAL_MIN or r2 < _NORMAL_MIN) and r2 < nu:
-        log_x = 2.0 * math.log(r) - math.log(total)
-    return _reg_inc_beta(0.5 * k, 0.5 * nu, x, y, log_x)
+        log_min = 2.0 * math.log(r) - math.log(total)
+    return _reg_inc_beta(0.5 * k, 0.5 * nu, x, y, log_min)
 
 
 @functools.cache

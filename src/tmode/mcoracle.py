@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -247,12 +248,12 @@ def estimate_ball_prob_prefixes(batch: SampleBatch, r) -> list[tuple[float, floa
 
 def _prefix_estimates(batch: SampleBatch, radii) -> list[list[tuple[float, float]]]:
     """estimate_ball_prob_prefixes for each radius, from one pass over the blocks."""
-    r2 = [r * r for r in (_require_nonnegative(r, "radius") for r in radii)]
+    r2 = [min(r * r, sys.float_info.max) for r in (_require_nonnegative(r, "radius") for r in radii)]
     hits = np.zeros((len(r2), batch.k), dtype=np.int64)
     norm_buf = np.empty(_BLOCK, dtype=np.float64)
     sq_buf = np.empty(_BLOCK, dtype=np.float64)
     inside_buf = np.empty(_BLOCK, dtype=bool)
-    # a square that overflows is +inf, a miss for every finite r
+    # a square that overflows is +inf, a miss for every finite r, as r^2 is capped at the largest double
     with np.errstate(over="ignore"):
         for _, blk in batch._blocks():
             m = blk.shape[0]

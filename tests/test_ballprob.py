@@ -104,12 +104,18 @@ class TestClosedForm:
         # nu = 1, k = 2: P = 1 - sqrt(1 - x)
         assert ballprob.ball_prob(1.0, 2, r) == pytest.approx(1.0 - math.sqrt(3.0 / 7.0), rel=1e-13)
 
-    def test_overflowing_sum_is_domain_error(self):
-        # r^2 + nu is not representable; there is no x to pass on
-        with pytest.raises(errors.DomainError):
-            ballprob.ball_prob(1e-3, 1, 1e200)
-        with pytest.raises(errors.DomainError):
-            ballprob.ball_prob(1e308, 2, 1.2e154)
+    def test_overflowing_sum_takes_y_from_its_log(self):
+        # r^2 + nu is not representable; ln y = ln nu - 2 ln r - log1p(nu / r^2) is
+        cases = [
+            # 50-digit mpmath 1 - I_y(nu/2, k/2) at y = nu / (r^2 + nu)
+            (1e-3, 1, 1e200, 0.37165357502776987, 1e-15),
+            (1e-3, 3, 1e300, 0.50038758014995175, 2e-15),
+            # y underflows at nu < 2^-51: the first-order branch
+            (1e-20, 2, 1e200, 4.8354286952874957e-18, 1e-15),
+            (1e308, 2, 1.2e154, 1.0, 0.0),
+        ]
+        for nu, k, r, want, rel in cases:
+            assert ballprob.ball_prob(nu, k, r) == pytest.approx(want, rel=rel, abs=0.0), (nu, k, r)
 
     def test_at_zero_radius(self):
         for nu in (1.0, 3.5, math.inf):

@@ -381,6 +381,12 @@ class TestSample:
         _, rows = parse_csv(result.output)
         assert float(rows[0][5]) == 0.0
 
+    def test_radius_whose_square_overflows(self):
+        result = invoke(["sample", "--nu", "2", "--k", "3", "--n", "1000", "--radius", "1e200"])
+        assert result.exit_code == 0
+        _, rows = parse_csv(result.output)
+        assert [float(rows[0][5]), float(rows[0][7])] == [1.0, 1.0]
+
     def test_tiny_nu_writes_nothing_to_stderr(self):
         # saturated draws are misses, not numpy warnings
         argv = ["sample", "--nu", "1e-3", "--k", "2", "--n", "1000", "--seed", "1", "--radius", "0.5"]

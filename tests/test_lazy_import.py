@@ -1,6 +1,7 @@
-"""Each subcommand loads only the tmode modules it runs: `import tmode` and
-`import tmode.cli` load errors, specfun and tdist, and ballprob, monotone
-and mcoracle load on first use. numpy stays off the import path until Monte
+"""Each subcommand loads only the tmode modules it runs: `import tmode`
+loads no submodule, `import tmode.cli` loads errors, specfun and tdist, and
+every public name loads its home module on first use and is then bound in
+the package. numpy stays off the import path until Monte
 Carlo needs it, and a plain `import tmode` does not load dataclasses either.
 Log-spaced grids are built without numpy, so their printed bytes do not
 depend on its CPU dispatch."""
@@ -19,6 +20,51 @@ from tmode import ballprob, errors, mcoracle, monotone, specfun, tdist
 SRC = Path(tmode.__file__).resolve().parent.parent
 
 MCORACLE_NAMES = ("SampleBatch", "SplitMix64", "estimate_ball_prob", "estimate_ball_prob_prefixes", "sample_t")
+
+# in import order, so a name one module takes from another is found at its source
+HOMES = [errors, specfun, tdist, ballprob, monotone, mcoracle]
+
+PUBLIC_NAMES = {
+    "GAUSSIAN_DOF",
+    "ConvergenceError",
+    "DimensionMismatchError",
+    "DomainError",
+    "MomentExistenceError",
+    "MonotonicityReport",
+    "MonotonicityViolationError",
+    "QuadResult",
+    "QuadratureConvergenceError",
+    "SampleBatch",
+    "SplitMix64",
+    "Table1Row",
+    "ball_prob",
+    "ball_prob_quadrature",
+    "check_dim",
+    "check_dof",
+    "classify_monotonicity",
+    "default_nu_grid",
+    "digamma",
+    "dlog_mode_value",
+    "estimate_ball_prob",
+    "estimate_ball_prob_prefixes",
+    "format_published",
+    "induction_step_check",
+    "kurtosis_ratio",
+    "log_density",
+    "log_gamma",
+    "log_gamma_ratio",
+    "log_mode_value",
+    "mode_value",
+    "mode_value_even_product",
+    "moment_ratio",
+    "polygamma",
+    "radial_moment",
+    "reg_inc_beta",
+    "reg_lower_inc_gamma",
+    "sample_t",
+    "table1",
+    "__version__",
+}
 
 # Runs in a fresh interpreter, one command per argument; prints, after
 # each step, whether numpy is loaded, after `import tmode` also whether
@@ -103,7 +149,7 @@ def test_numpy_free_commands_never_load_numpy():
 
 def test_imports_defer_ballprob_monotone_and_mcoracle():
     seen = probe([])
-    assert seen[0][-1] == ["errors", "specfun", "tdist"]
+    assert seen[0][-1] == []
     assert seen[1][-1] == EAGER
 
 
@@ -132,16 +178,32 @@ def test_monte_carlo_names_resolve_to_mcoracle():
         assert getattr(tmode, name) is getattr(mcoracle, name)
 
 
+def home_object(name):
+    return getattr(next(module for module in HOMES if hasattr(module, name)), name)
+
+
 def test_public_names_resolve_to_their_home_modules():
-    # in import order, so a name one module takes from another is found at its source
-    homes = [errors, specfun, tdist, ballprob, monotone, mcoracle]
     for name in tmode.__all__:
         if name != "__version__":
-            home = next(module for module in homes if hasattr(module, name))
-            assert getattr(tmode, name) is getattr(home, name), name
-    for module in homes[3:]:
+            assert getattr(tmode, name) is home_object(name), name
+    for module in HOMES[3:]:
         assert getattr(tmode, module.__name__.rpartition(".")[2]) is module
     assert set(tmode.__all__) | {"ballprob", "monotone", "mcoracle"} <= set(dir(tmode))
+
+
+def test_first_access_binds_each_name_in_the_package():
+    # later lookups are dictionary hits, not calls to the module __getattr__
+    for name in tmode.__all__:
+        if name != "__version__":
+            getattr(tmode, name)
+            assert vars(tmode)[name] is home_object(name), name
+    for module in HOMES:
+        assert vars(tmode)[module.__name__.rpartition(".")[2]] is module
+
+
+def test_public_names_are_unchanged():
+    assert set(tmode.__all__) == PUBLIC_NAMES
+    assert len(tmode.__all__) == len(PUBLIC_NAMES) == 39
 
 
 def test_star_import_binds_all_public_names():

@@ -382,6 +382,16 @@ class TestEstimateBallProb:
         est, se = mcoracle.estimate_ball_prob(batch, 1e9)
         assert est == 1.0 and se == 0.0
 
+    def test_radius_whose_square_overflows(self):
+        # 13858 of the 20000 draws are inf: a row is inside exactly when its squared norm is finite
+        batch = mcoracle.sample_t(1e-3, 1, 20000, 1)
+        with np.errstate(over="ignore"):
+            finite = np.count_nonzero(np.isfinite(batch.draws[:, 0] ** 2))
+        assert finite == 6139
+        assert mcoracle.estimate_ball_prob(batch, 1e200)[0] == finite / 20000
+        # below 1.34e154 r^2 is finite, and the estimates are those of the cumsum reference
+        assert_prefixes_match_cumsum(batch, 1e154)
+
     def test_radius_validation(self):
         batch = mcoracle.sample_t(5.0, 2, 100, 3)
         with pytest.raises(errors.DomainError):
