@@ -1,8 +1,8 @@
 """Each subcommand loads only the tmode modules it runs: `import tmode`
 loads no submodule, `import tmode.cli` loads errors, specfun and tdist, and
 every public name loads its home module on first use and is then bound in
-the package. numpy stays off the import path until Monte
-Carlo needs it, and a plain `import tmode` does not load dataclasses either.
+the package. numpy stays off the import path until Monte Carlo needs it,
+and a plain `import tmode` does not load dataclasses either.
 Log-spaced grids are built without numpy, so their printed bytes do not
 depend on its CPU dispatch."""
 
