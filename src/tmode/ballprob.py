@@ -141,7 +141,10 @@ def ball_prob_quadrature(nu, k: int, r) -> QuadResult:
     nu >= 0.7, k <= 6, r in [0.01, 10] (8.0e-15), and within 1.8e-13 of mpmath
     over nu in [1e-8, 1e12] plus inf, r in [1e-200, 1e150]. The rounding of the
     ln Gamma(k/2) and (k-1) ln s terms grows with k: at k = 5000 the result
-    reaches 1 + 1.4e-12. Mass past the last node (nu <= 0.01 at r = 1e150) raises.
+    reaches 1 + 1.4e-12. Where the mass lies past the last node it raises
+    QuadratureConvergenceError. On r = 1e-200, 1e-195, ..., 1e150 at k = 1, 4 and 20
+    that is r >= 1e65 for nu <= 0.1 (1e60 for nu <= 0.05), and from smaller r as nu
+    falls: r >= 1e30 at nu = 1e-50, 1e5 at 1e-100, 1e-55 at 1e-150 and 1e-130 at 1e-300.
     """
     nu = check_dof(nu)
     k = check_dim(k)

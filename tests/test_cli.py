@@ -333,21 +333,27 @@ class TestSample:
         assert [r[4] for r in rows] == ["0.5", "2"]
 
     def test_several_radii_make_each_normal_once(self, monkeypatch):
+        # one pass over both radii makes exactly the cells that the larger radius makes alone
         made = []
-        normals = mcoracle.SplitMix64._normals
+        column = mcoracle._Lane.column
 
-        def counted(gen, buf, p, pairs, lo, hi):
-            made.append(hi - lo)
-            return normals(gen, buf, p, pairs, lo, hi)
+        def counted(lane, j):
+            x = column(lane, j)
+            made.append(x.size)
+            return x
 
-        monkeypatch.setattr(mcoracle.SplitMix64, "_normals", counted)
-        args = ["sample", "--nu", "2", "--k", "3", "--n", "20001", "--seed", "5", "--precision", "full"]
-        one = [invoke([*args, "--radius", r]) for r in ("1.0", "0.5")]
-        made_one = sum(made)
-        made.clear()
-        both = invoke([*args, "--radius", "1.0", "--radius", "0.5"])
-        assert sum(made) == made_one // 2
-        assert both.output.splitlines() == one[0].output.splitlines() + one[1].output.splitlines()[1:]
+        monkeypatch.setattr(mcoracle._Lane, "column", counted)
+
+        def run(*radii):
+            made.clear()
+            args = ["sample", "--nu", "2", "--k", "3", "--n", "20001", "--seed", "5", "--precision", "full"]
+            result = invoke(args + [arg for r in radii for arg in ("--radius", r)])
+            return result.output.splitlines(), sum(made)
+
+        (larger, cells_larger), (smaller, cells_smaller) = run("1.0"), run("0.5")
+        both, cells_both = run("1.0", "0.5")
+        assert cells_smaller < cells_both == cells_larger
+        assert both == larger + smaller[1:]
 
     def test_radii_keep_their_order(self):
         result = invoke(["sample", "--nu", "2", "--k", "1", "--n", "100", "--radius", "2.0", "--radius", "0.5"])

@@ -1,6 +1,7 @@
 """Reproducibility and statistical sanity of the Monte Carlo oracle."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -340,6 +341,32 @@ class TestPrefixEstimator:
         assert_prefixes_match_cumsum(batch, 1.0)
         # the whole-dimension estimator applies the same rule
         assert mcoracle.estimate_ball_prob(batch, 1.0) == (1.0, 0.0)
+
+    # k = 2^14 + 1 splits a Box-Muller pair across two rows; odd k makes even and odd rows two lanes
+    @pytest.mark.parametrize("k, n", [(1, 2 * B + 1), (3, B + 1), (4, B + 3), (20, 1001), (B + 1, 3)])
+    @pytest.mark.parametrize("nu", [0.52, 2.0, math.inf, 5e-324])
+    def test_makes_only_live_cells(self, monkeypatch, nu, k, n):
+        # a row's cell in column j is made only while its norm after column j-1 is <= the largest r^2
+        made = []
+        column = mcoracle._Lane.column
+
+        def counted(lane, j):
+            x = column(lane, j)
+            made.append(x.size)
+            return x
+
+        monkeypatch.setattr(mcoracle._Lane, "column", counted)
+        draws, _ = whole_sample(nu, k, n, 31)
+        with np.errstate(over="ignore"):
+            norms = np.cumsum(draws * draws, axis=1)
+        for radii in [(0.0,), (0.8,), (1e200,), (0.3, 0.8)]:
+            # r^2 capped at the largest double, as the estimator caps it
+            r2 = [min(r * r, sys.float_info.max) for r in radii]
+            made.clear()
+            got = mcoracle._prefix_estimates(mcoracle.sample_t(nu, k, n, 31), radii)
+            assert sum(made) == n + np.count_nonzero(norms[:, :-1] <= max(r2))
+            for bound, prefixes in zip(r2, got):
+                assert [p for p, _ in prefixes] == [np.count_nonzero(norms[:, j] <= bound) / n for j in range(k)]
 
     @pytest.mark.parametrize("nu", [1e-3, 5e-324])
     @pytest.mark.parametrize("k", [1, 3, 20])
