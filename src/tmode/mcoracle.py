@@ -16,17 +16,20 @@ positions, with the same words and draws as whole arrays. sample_t runs
 the chi-square rounds from the position after the normals and keeps the
 n row scales.
 
-The normals of Z are made as a batch is read, one column at a time over
-blocks of _ROWS rows. Normal p = i*k + j is the cos (p even) or the sin
-(p odd) of pair p >> 1, whose words sit at counters (p >> 1) + 1 and
-pairs + (p >> 1) + 1, so any cell can be made from its position alone.
-The estimators make column j only for the rows whose running squared norm
-is still <= the largest r^2. Their hits are those of the whole-array cumsum
-bit for bit: each added square is >= 0 (or nan) and float addition is
-monotone, so a row that fails norm <= max r^2 (inf and nan included) fails
-at every later column. They hold the n scales plus at most about eight
-arrays of one column of a block (0.6 MiB), whatever n and k; only reading
-SampleBatch.draws builds the (n, k) array.
+The estimators make the normals of Z as they read a batch, in blocks of
+_ROWS rows, one Box-Muller pair step at a time. Normal p = i*k + j is the
+cos (p even) or the sin (p odd) of pair p >> 1, whose words sit at counters
+(p >> 1) + 1 and pairs + (p >> 1) + 1, so any cell can be made from its
+position alone. A step makes one pair for each row still kept and uses
+its cos and sin in two neighbouring columns, so nothing outlives a step.
+Column j is made only for the rows whose running squared norm is still
+<= the largest r^2. The hits are those of the whole-array cumsum bit for
+bit: each added square is >= 0 (or nan) and float addition is monotone,
+so a row that fails norm <= max r^2 (inf and nan included) fails at every
+later column. The estimators hold the n scales plus about ten arrays of
+one column of a block (0.7 MiB), whatever n and k. SampleBatch.draws is
+the stream's first n*k normals as an (n, k) array, times the scales; a
+batch whose draws exist is summed with np.cumsum, block by block.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError
-from .specfun import _require_count, _require_nonnegative
+from .specfun import _require_count, _require_nonnegative, _require_positive
 from .tdist import check_dim, check_dof
 
 __all__ = [
@@ -55,7 +57,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 2.0**-53
 _BLOCK = 1 << 14  # float64s (128 KiB) in each temporary array of a block
-# rows in each block of a batch's column walk: up to eight arrays of one column are alive at once
+# rows in each block of the estimators' pair walk: about ten arrays of one column are alive at once;
+# it is even, so at odd k the two rows that share a split pair lie in one block
 _ROWS = _BLOCK // 2
 
 
@@ -111,11 +114,14 @@ class SplitMix64:
         return radius, angle
 
     def next_uint64(self, n: int) -> np.ndarray:
+        """n raw 64-bit words."""
+        n = _require_count(n, "count", 0)
         self._position += n
         return self._words(self._position - n, n)
 
     def next_uniform(self, n: int) -> np.ndarray:
         """n doubles uniform on (0, 1] (never 0, so logs are safe)."""
+        n = _require_count(n, "count", 0)
         self._position += n
         return self._words(self._position - n, n, uniform=True)
 
@@ -132,6 +138,7 @@ class SplitMix64:
 
     def next_normal(self, n: int) -> np.ndarray:
         """n standard normals, Box-Muller pairs."""
+        n = _require_count(n, "count", 0)
         pairs = (n + 1) // 2
         p = self._position
         self._position += 2 * pairs
@@ -142,8 +149,9 @@ class SplitMix64:
 
     def next_gamma(self, shape: float, n: int) -> np.ndarray:
         """n Gamma(shape, 1) variates, Marsaglia-Tsang."""
-        if shape <= 0.0:
-            raise DomainError(f"gamma shape must be positive, got {shape!r}")
+        # an infinite or nan shape would make every acceptance test nan, and the rounds would never end
+        shape = _require_positive(shape, "gamma shape")
+        n = _require_count(n, "count", 0)
         boosted = shape < 1.0
         alpha = shape + 1.0 if boosted else shape
         d = alpha - 1.0 / 3.0
@@ -180,12 +188,12 @@ class SampleBatch:
     """A reproducible batch of n draws from one family member.
 
     Row i of the draws is the stream's normals i*k .. i*k + k - 1 times
-    scales[i] (unscaled when scales is None, as at nu = inf). The
-    estimators remake the draws from the stream in blocks of _ROWS rows,
-    one column at a time and only for the rows they still need, so they
-    hold the n scales and a few columns of a block; reading .draws builds
-    the whole (n, k) array once, from the same columns. A batch made with
-    explicit draws reads its columns from them.
+    scales[i] (unscaled when scales is None, as at nu = inf). Reading
+    .draws builds the whole (n, k) array once. Until then the estimators
+    make the draws from the stream, block by block and pair by pair, for
+    the rows they still need, and hold only the n scales and a few columns
+    of a block. A batch whose draws exist, explicit or already read, is
+    summed from them.
     """
 
     def __init__(
@@ -207,89 +215,12 @@ class SampleBatch:
 
     @functools.cached_property
     def draws(self) -> np.ndarray:
-        """The (n, k) draws, built on first read."""
-        out = np.empty((self.n, self.k), dtype=np.float64)
-        with np.errstate(over="ignore"):
-            for lane in self._lanes():
-                for j in range(self.k):
-                    out[lane.rows, j] = lane.column(j)
-        return out
-
-    def _lanes(self):
-        """The lanes of each block of _ROWS rows, in row order.
-
-        A block is one lane, or two from the stream at odd k: its even rows,
-        then its odd rows. _ROWS is even, so a block starts on an even row
-        and the two rows that share a split pair lie in one block.
-        """
-        gen = None if "draws" in self.__dict__ else SplitMix64(self.seed)
-        pairs = (self.n * self.k + 1) // 2
-        for i in range(0, self.n, _ROWS):
-            rows = np.arange(i, min(i + _ROWS, self.n), dtype=np.uint64)
-            if gen is None or self.k % 2 == 0:
-                yield _Lane(self, rows, gen, pairs)
-                continue
-            even = _Lane(self, rows[::2], gen, pairs)
-            # an even row's last normal and the next row's first are the cos and sin of one pair
-            even.tails = even.pairs_at(self.k - 1)
-            yield even
-            if rows.size > 1:
-                yield _Lane(self, rows[1::2], gen, pairs, even.tails)
-
-
-class _Lane:
-    """Rows of one block, made a column at a time for the rows still kept.
-
-    From the stream, normal p = i*k + j is the cos (p even) or the sin
-    (p odd) of Box-Muller pair p >> 1. The rows of a lane share the parity
-    of i*k, so in each column they all begin a pair, whose radius and angle
-    are carried to the next column, or all take the sin of the pair carried
-    from the last one; the pair's words, log and sqrt are made once. The
-    `tails` are the pairs split across two rows at odd k, one per even row
-    of the block. A batch with explicit draws reads draws[rows, j].
-    """
-
-    def __init__(self, batch: SampleBatch, rows: np.ndarray, gen: SplitMix64 | None, pairs: int, tails=None):
-        self.batch, self.rows, self.gen, self.pairs, self.tails = batch, rows, gen, pairs, tails
-        self.first = int(rows[0])
-        self.odd = self.first * batch.k % 2
-        # (radius, angle) of the pairs whose sin is the next column; an odd row's first normal is a tail's sin
-        self.pair = (tails[0][: rows.size], tails[1][: rows.size]) if self.odd else None
-
-    def pairs_at(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Radius and angle of the pairs that hold the rows' normals in column j: pair (i*k + j) >> 1."""
-        u1 = self.rows * np.uint64(self.batch.k)
-        u1 += np.uint64(j + 2)  # the u1 word of pair a is word a + 1
-        u1 >>= np.uint64(1)
-        return self.gen._polar(u1, self.pairs)
-
-    def column(self, j: int) -> np.ndarray:
-        """Column j of the kept rows, as a new array (a scaled draw may overflow to +/-inf)."""
-        batch = self.batch
-        if self.gen is None:
-            return batch.draws[self.rows, j]
-        if (self.odd + j) % 2:
-            (radius, angle), self.pair = self.pair, None
-            x = np.sin(angle)
-        else:
-            if j == batch.k - 1 and self.tails is not None:
-                slot = (self.rows - np.uint64(self.first)) >> np.uint64(1)
-                radius, angle = self.tails[0][slot], self.tails[1][slot]
-            else:
-                radius, angle = self.pairs_at(j)
-                if j + 1 < batch.k:
-                    self.pair = radius, angle
-            x = np.cos(angle)
-        x *= radius
-        if batch.scales is not None:
-            x *= batch.scales[self.rows]
-        return x
-
-    def keep(self, kept: np.ndarray) -> None:
-        """Keep only the rows at indices kept (into the rows kept so far) for the later columns."""
-        self.rows = self.rows[kept]
-        if self.pair is not None:
-            self.pair = (self.pair[0][kept], self.pair[1][kept])
+        """The (n, k) draws, built on first read: the stream's first n*k normals, row by row, times the scales."""
+        z = SplitMix64(self.seed).next_normal(self.n * self.k).reshape(self.n, self.k)
+        if self.scales is not None:
+            with np.errstate(over="ignore"):
+                z *= self.scales[:, None]
+        return z
 
 
 def sample_t(nu, k: int, n: int, seed: int) -> SampleBatch:
@@ -339,29 +270,75 @@ def estimate_ball_prob_prefixes(batch: SampleBatch, r) -> list[tuple[float, floa
 
 
 def _prefix_estimates(batch: SampleBatch, radii) -> list[list[tuple[float, float]]]:
-    """estimate_ball_prob_prefixes for each radius, from one pass over the lanes."""
+    """estimate_ball_prob_prefixes for each radius, from one pass over the batch."""
     r2 = [min(r * r, sys.float_info.max) for r in (_require_nonnegative(r, "radius") for r in radii)]
-    top = max(r2)
     hits = np.zeros((len(r2), batch.k), dtype=np.int64)
     # a square that overflows is +inf, a miss for every finite r, as r^2 is capped at the largest double
     with np.errstate(over="ignore"):
-        for lane in batch._lanes():
-            norm = np.zeros(lane.rows.size)
-            live = norm.size
-            for j in range(batch.k):
-                # each square is >= 0 (or nan), so a row past the largest r^2 never counts again
-                if live < norm.size:
-                    if not live:
-                        break
-                    # indices gather faster than a boolean mask that is true about half the time
-                    kept = np.flatnonzero(inside)
-                    lane.keep(kept)
-                    norm = norm[kept]
-                sq = lane.column(j)
-                sq *= sq
-                norm += sq
-                inside = norm <= top
-                live = np.count_nonzero(inside)
+        if "draws" in batch.__dict__:
+            # blocks of about _BLOCK cells; cumsum adds each row's squares left to right, as the walk does
+            step = max(1, _BLOCK // batch.k)
+            for i in range(0, batch.n, step):
+                norms = np.square(batch.draws[i : i + step])
+                np.cumsum(norms, axis=1, out=norms)
                 for row, bound in zip(hits, r2):
-                    row[j] += live if bound == top else np.count_nonzero(norm <= bound)
+                    row += np.count_nonzero(norms <= bound, axis=0)
+        else:
+            for first in range(0, batch.n, _ROWS):
+                _walk_block(batch, first, r2, hits)
     return [[(p, math.sqrt(p * (1.0 - p) / batch.n)) for p in (row / batch.n).tolist()] for row in hits]
+
+
+def _pairs(gen: SplitMix64, rows: np.ndarray, k: int, s: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and angle of pair (i*k >> 1) + s for each row i, whose u1 word is the word after it."""
+    u1 = rows * np.uint64(k)
+    u1 >>= np.uint64(1)
+    u1 += np.uint64(s + 1)
+    return gen._polar(u1, pairs)
+
+
+def _walk_block(batch: SampleBatch, first: int, r2: list[float], hits: np.ndarray) -> None:
+    """Add the hits of the block of _ROWS rows from row first, made one Box-Muller pair step at a time.
+
+    The block is one lane at even k; at odd k it is two, its even rows and
+    then its odd rows, so the rows of a lane share the parity u of i*k.
+    Step s makes pair (i*k >> 1) + s for each kept row: its cos is column
+    2s - u and its sin column 2s + 1 - u. At odd k the pair split between
+    an even row's last column and the next row's first is made once for
+    every even row of the block, and both lanes read it.
+    """
+    k, top = batch.k, max(r2)
+    gen = SplitMix64(batch.seed)
+    pairs = (batch.n * k + 1) // 2
+    rows = np.arange(first, min(first + _ROWS, batch.n), dtype=np.uint64)
+    lanes = [(rows, 0)] if k % 2 == 0 else [(rows[::2], 0), (rows[1::2], 1)]
+    split = _pairs(gen, rows[::2], k, k // 2, pairs) if k % 2 else None
+    for rows, u in lanes:
+        norm = np.zeros(rows.size)
+        for j in range(k):
+            cos = (j + u) % 2 == 0
+            if split is not None and j == (0 if u else k - 1):
+                # an even row's slot is its place among the block's even rows; no row is dropped before column 0
+                slot = slice(rows.size) if j == 0 else (rows - np.uint64(first)) >> np.uint64(1)
+                radius, angle = split[0][slot], split[1][slot]
+            elif cos:
+                radius, angle = _pairs(gen, rows, k, (j + u) // 2, pairs)
+            sq = np.cos(angle) if cos else np.sin(angle)
+            sq *= radius
+            if batch.scales is not None:
+                sq *= batch.scales[rows]
+            sq *= sq
+            norm += sq
+            inside = norm <= top
+            live = np.count_nonzero(inside)
+            for row, bound in zip(hits, r2):
+                row[j] += live if bound == top else np.count_nonzero(norm <= bound)
+            if not live:  # no row left, or an empty lane: a block of one row has no odd rows
+                break
+            # each square is >= 0 (or nan), so a row past the largest r^2 never counts again
+            if live < norm.size and j + 1 < k:
+                # indices gather faster than a boolean mask that is true about half the time
+                kept = np.flatnonzero(inside)
+                rows, norm = rows[kept], norm[kept]
+                if cos:  # the next column is this pair's sin
+                    radius, angle = radius[kept], angle[kept]

@@ -333,16 +333,16 @@ class TestSample:
         assert [r[4] for r in rows] == ["0.5", "2"]
 
     def test_several_radii_make_each_normal_once(self, monkeypatch):
-        # one pass over both radii makes exactly the cells that the larger radius makes alone
+        # one pass over both radii makes exactly the Box-Muller pairs that the larger radius makes alone
+        # (each run's chi-square rounds make the same pairs)
         made = []
-        column = mcoracle._Lane.column
+        polar = mcoracle.SplitMix64._polar
 
-        def counted(lane, j):
-            x = column(lane, j)
-            made.append(x.size)
-            return x
+        def counted(gen, u1, pairs):
+            made.append(u1.size)
+            return polar(gen, u1, pairs)
 
-        monkeypatch.setattr(mcoracle._Lane, "column", counted)
+        monkeypatch.setattr(mcoracle.SplitMix64, "_polar", counted)
 
         def run(*radii):
             made.clear()
@@ -350,9 +350,9 @@ class TestSample:
             result = invoke(args + [arg for r in radii for arg in ("--radius", r)])
             return result.output.splitlines(), sum(made)
 
-        (larger, cells_larger), (smaller, cells_smaller) = run("1.0"), run("0.5")
-        both, cells_both = run("1.0", "0.5")
-        assert cells_smaller < cells_both == cells_larger
+        (larger, pairs_larger), (smaller, pairs_smaller) = run("1.0"), run("0.5")
+        both, pairs_both = run("1.0", "0.5")
+        assert pairs_smaller < pairs_both == pairs_larger
         assert both == larger + smaller[1:]
 
     def test_radii_keep_their_order(self):

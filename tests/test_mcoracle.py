@@ -159,8 +159,26 @@ class TestSplitMix64:
         assert a.position == b.position
 
     def test_gamma_bad_shape(self):
+        # an infinite or nan shape used to make every acceptance test nan, so the rounds never ended
+        for shape in (0.0, -1.0, math.inf, math.nan):
+            gen = mcoracle.SplitMix64(0)
+            with pytest.raises(errors.DomainError):
+                gen.next_gamma(shape, 10)
+            assert gen.position == 0
+
+    @pytest.mark.parametrize("method", ["next_uint64", "next_uniform", "next_normal", "next_gamma"])
+    @pytest.mark.parametrize("n", [-5, 2.5, True, "3"])
+    def test_bad_count_leaves_position(self, method, n):
+        gen = mcoracle.SplitMix64(0)
         with pytest.raises(errors.DomainError):
-            mcoracle.SplitMix64(0).next_gamma(0.0, 10)
+            getattr(gen, method)(*((2.0, n) if method == "next_gamma" else (n,)))
+        assert gen.position == 0
+
+    def test_zero_count(self):
+        gen = mcoracle.SplitMix64(0)
+        assert [getattr(gen, m)(0).size for m in ("next_uint64", "next_uniform", "next_normal")] == [0, 0, 0]
+        assert gen.next_gamma(0.5, 0).size == 0
+        assert gen.position == 0
 
 
 class TestSampleT:
@@ -328,7 +346,12 @@ class TestPrefixEstimator:
     )
     def test_matches_cumsum_reference(self, k, n):
         batch = mcoracle.sample_t(2.5, k, n, k)
-        for r in (0.0, math.sqrt(k), 1e9):
+        radii = (0.0, math.sqrt(k), 1e9)
+        streamed = [mcoracle.estimate_ball_prob_prefixes(batch, r) for r in radii]
+        assert "draws" not in vars(batch)
+        # the stream's estimates, then the same batch's once its draws are read
+        for r, got in zip(radii, streamed):
+            assert [p for p, _ in got] == [h / n for h in whole_prefix_hits(batch.draws, r)]
             assert_prefixes_match_cumsum(batch, r)
 
     def test_sums_left_to_right(self):
@@ -346,25 +369,29 @@ class TestPrefixEstimator:
     @pytest.mark.parametrize("k, n", [(1, 2 * B + 1), (3, B + 1), (4, B + 3), (20, 1001), (B + 1, 3)])
     @pytest.mark.parametrize("nu", [0.52, 2.0, math.inf, 5e-324])
     def test_makes_only_live_cells(self, monkeypatch, nu, k, n):
-        # a row's cell in column j is made only while its norm after column j-1 is <= the largest r^2
+        # the pair whose cos is cell (i, c) is made only while row i's norm after column c-1 is <= the largest r^2
         made = []
-        column = mcoracle._Lane.column
+        polar = mcoracle.SplitMix64._polar
 
-        def counted(lane, j):
-            x = column(lane, j)
-            made.append(x.size)
-            return x
+        def counted(gen, u1, pairs):
+            made.append(u1.size)
+            return polar(gen, u1, pairs)
 
-        monkeypatch.setattr(mcoracle._Lane, "column", counted)
+        monkeypatch.setattr(mcoracle.SplitMix64, "_polar", counted)
         draws, _ = whole_sample(nu, k, n, 31)
         with np.errstate(over="ignore"):
             norms = np.cumsum(draws * draws, axis=1)
+        i, c = np.arange(n)[:, None], np.arange(k - 1)[None, :]
+        # at odd k the pair split between an even row's last cell and the next row's first is made for every even row
+        split = (k % 2) * ((n + 1) // 2)
         for radii in [(0.0,), (0.8,), (1e200,), (0.3, 0.8)]:
             # r^2 capped at the largest double, as the estimator caps it
             r2 = [min(r * r, sys.float_info.max) for r in radii]
+            live = np.hstack([np.ones((n, 1), dtype=bool), norms[:, : k - 2] <= max(r2)])[:, : k - 1]
+            batch = mcoracle.sample_t(nu, k, n, 31)  # its chi-square rounds make pairs too
             made.clear()
-            got = mcoracle._prefix_estimates(mcoracle.sample_t(nu, k, n, 31), radii)
-            assert sum(made) == n + np.count_nonzero(norms[:, :-1] <= max(r2))
+            got = mcoracle._prefix_estimates(batch, radii)
+            assert sum(made) == split + np.count_nonzero(live & ((i * k + c) % 2 == 0))
             for bound, prefixes in zip(r2, got):
                 assert [p for p, _ in prefixes] == [np.count_nonzero(norms[:, j] <= bound) / n for j in range(k)]
 
