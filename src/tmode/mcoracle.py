@@ -276,10 +276,10 @@ def _prefix_estimates(batch: SampleBatch, radii) -> list[list[tuple[float, float
     # a square that overflows is +inf, a miss for every finite r, as r^2 is capped at the largest double
     with np.errstate(over="ignore"):
         if "draws" in batch.__dict__:
-            # blocks of about _BLOCK cells; cumsum adds each row's squares left to right, as the walk does
+            # blocks of about _BLOCK cells; cumsum adds each row's squares left to right in float64, as the walk does
             step = max(1, _BLOCK // batch.k)
             for i in range(0, batch.n, step):
-                norms = np.square(batch.draws[i : i + step])
+                norms = np.square(batch.draws[i : i + step]).astype(np.float64, copy=False)
                 np.cumsum(norms, axis=1, out=norms)
                 for row, bound in zip(hits, r2):
                     row += np.count_nonzero(norms <= bound, axis=0)
@@ -290,7 +290,7 @@ def _prefix_estimates(batch: SampleBatch, radii) -> list[list[tuple[float, float
 
 
 def _pairs(gen: SplitMix64, rows: np.ndarray, k: int, s: int, pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radius and angle of pair (i*k >> 1) + s for each row i, whose u1 word is the word after it."""
+    """Radius and angle of pair (i*k >> 1) + s for each row i (the u1 word of pair a is word a + 1)."""
     u1 = rows * np.uint64(k)
     u1 >>= np.uint64(1)
     u1 += np.uint64(s + 1)

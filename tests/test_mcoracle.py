@@ -365,6 +365,11 @@ class TestPrefixEstimator:
         # the whole-dimension estimator applies the same rule
         assert mcoracle.estimate_ball_prob(batch, 1.0) == (1.0, 0.0)
 
+    def test_sums_explicit_draws_in_float64(self):
+        # float32 squares 1 and 2^-24 sum to 1 in float32 but not in float64
+        batch = mcoracle.SampleBatch(nu=math.inf, k=2, n=1, seed=0, draws=np.array([[1.0, 2.0**-12]], dtype=np.float32))
+        assert [p for p, _ in mcoracle.estimate_ball_prob_prefixes(batch, 1.0)] == [1.0, 0.0]
+
     # k = 2^14 + 1 splits a Box-Muller pair across two rows; odd k makes even and odd rows two lanes
     @pytest.mark.parametrize("k, n", [(1, 2 * B + 1), (3, B + 1), (4, B + 3), (20, 1001), (B + 1, 3)])
     @pytest.mark.parametrize("nu", [0.52, 2.0, math.inf, 5e-324])
@@ -387,6 +392,7 @@ class TestPrefixEstimator:
         for radii in [(0.0,), (0.8,), (1e200,), (0.3, 0.8)]:
             # r^2 capped at the largest double, as the estimator caps it
             r2 = [min(r * r, sys.float_info.max) for r in radii]
+            # live[i, c]: row i is still kept when column c is made (every row is at column 0)
             live = np.hstack([np.ones((n, 1), dtype=bool), norms[:, : k - 2] <= max(r2)])[:, : k - 1]
             batch = mcoracle.sample_t(nu, k, n, 31)  # its chi-square rounds make pairs too
             made.clear()
