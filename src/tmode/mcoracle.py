@@ -28,8 +28,9 @@ bit: each added square is >= 0 (or nan) and float addition is monotone,
 so a row that fails norm <= max r^2 (inf and nan included) fails at every
 later column. The estimators hold the n scales plus about ten arrays of
 one column of a block (0.7 MiB), whatever n and k. SampleBatch.draws is
-the stream's first n*k normals as an (n, k) array, times the scales; a
-batch whose draws exist is summed with np.cumsum, block by block.
+the stream's first n*k normals as an (n, k) array, times the scales; the
+estimators never read it, so a batch is summed the same way whether or
+not its draws have been built.
 """
 
 from __future__ import annotations
@@ -126,15 +127,15 @@ class SplitMix64:
         return self._words(self._position - n, n, uniform=True)
 
     def _normals(self, buf: np.ndarray, p: int, pairs: int, lo: int, hi: int) -> np.ndarray:
-        """Normals lo .. hi-1 of the Box-Muller run at p: u1 words from p, u2 words from p + pairs.
+        """Normals lo .. hi-1 (lo even) of the Box-Muller run at p: u1 words from p, u2 words from p + pairs.
 
         The pairs that cover them fill the front of buf, and the result is a view of exactly those normals.
         """
-        a, m = lo // 2, (hi + 1) // 2 - lo // 2
+        a, m = lo // 2, (hi - lo + 1) // 2
         radius, angle = self._polar(np.arange(p + a + 1, p + a + m + 1, dtype=np.uint64), pairs)
         np.multiply(radius, np.cos(angle), out=buf[0 : 2 * m : 2])
         np.multiply(radius, np.sin(angle), out=buf[1 : 2 * m : 2])
-        return buf[lo - 2 * a : hi - 2 * a]
+        return buf[: hi - lo]
 
     def next_normal(self, n: int) -> np.ndarray:
         """n standard normals, Box-Muller pairs."""
@@ -189,29 +190,18 @@ class SampleBatch:
 
     Row i of the draws is the stream's normals i*k .. i*k + k - 1 times
     scales[i] (unscaled when scales is None, as at nu = inf). Reading
-    .draws builds the whole (n, k) array once. Until then the estimators
-    make the draws from the stream, block by block and pair by pair, for
-    the rows they still need, and hold only the n scales and a few columns
-    of a block. A batch whose draws exist, explicit or already read, is
-    summed from them.
+    .draws builds the whole (n, k) array once and keeps it. The estimators
+    never read it: they make the draws from the stream, block by block and
+    pair by pair, for the rows they still need, and hold only the n scales
+    and a few columns of a block.
     """
 
-    def __init__(
-        self,
-        nu: float,
-        k: int,
-        n: int,
-        seed: int,
-        draws: np.ndarray | None = None,
-        scales: np.ndarray | None = None,
-    ):
+    def __init__(self, nu: float, k: int, n: int, seed: int, scales: np.ndarray | None = None):
         self.nu = nu
         self.k = k
         self.n = n
         self.seed = seed
         self.scales = scales
-        if draws is not None:
-            self.draws = draws  # the instance attribute takes the cached property's place
 
     @functools.cached_property
     def draws(self) -> np.ndarray:
@@ -275,17 +265,8 @@ def _prefix_estimates(batch: SampleBatch, radii) -> list[list[tuple[float, float
     hits = np.zeros((len(r2), batch.k), dtype=np.int64)
     # a square that overflows is +inf, a miss for every finite r, as r^2 is capped at the largest double
     with np.errstate(over="ignore"):
-        if "draws" in batch.__dict__:
-            # blocks of about _BLOCK cells; cumsum adds each row's squares left to right in float64, as the walk does
-            step = max(1, _BLOCK // batch.k)
-            for i in range(0, batch.n, step):
-                norms = np.square(batch.draws[i : i + step]).astype(np.float64, copy=False)
-                np.cumsum(norms, axis=1, out=norms)
-                for row, bound in zip(hits, r2):
-                    row += np.count_nonzero(norms <= bound, axis=0)
-        else:
-            for first in range(0, batch.n, _ROWS):
-                _walk_block(batch, first, r2, hits)
+        for first in range(0, batch.n, _ROWS):
+            _walk_block(batch, first, r2, hits)
     return [[(p, math.sqrt(p * (1.0 - p) / batch.n)) for p in (row / batch.n).tolist()] for row in hits]
 
 

@@ -246,6 +246,9 @@ class TestPublishedTable:
         assert ballprob.format_published(0.0049628098392813305, 2) == "0.00496281"
         assert ballprob.format_published(0.0002842362725556048, 3) == "0.000284236"
         assert ballprob.format_published(1.2458411354275086e-05, 4) == "0.0000124584"
+        # the table has no column past k = 4
+        with pytest.raises(errors.DomainError):
+            ballprob.format_published(0.5, 5)
 
     def test_all_sixteen_entries_match(self):
         rows = ballprob.table1()

@@ -85,3 +85,15 @@ class TestWorseBeyondBound:
         # one far-off pair moves no median
         got = summarize(HIGHER, [100.0] * 10, [100.0] * 9 + [1.0])
         assert not got["worse_beyond_bound"]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_rejects_fewer_than_one_pair(self, monkeypatch, capsys, pairs):
+        # rejected before either tree is exported or any git command runs
+        monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: pytest.fail("exported"))
+        monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: pytest.fail("ran a command"))
+        with pytest.raises(SystemExit) as info:
+            bench_pairs.main(["--workload", "monte-carlo", "--parent", "HEAD~1", "--pairs", pairs])
+        assert info.value.code == 2
+        assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err

@@ -349,26 +349,25 @@ class TestPrefixEstimator:
         radii = (0.0, math.sqrt(k), 1e9)
         streamed = [mcoracle.estimate_ball_prob_prefixes(batch, r) for r in radii]
         assert "draws" not in vars(batch)
-        # the stream's estimates, then the same batch's once its draws are read
+        # the stream's estimates, then the same batch's once its draws are read:
+        # the estimators never read them, so reading them leaves the estimates alone
         for r, got in zip(radii, streamed):
             assert [p for p, _ in got] == [h / n for h in whole_prefix_hits(batch.draws, r)]
             assert_prefixes_match_cumsum(batch, r)
 
-    def test_sums_left_to_right(self):
-        # squares 1, 2^-54, 2^-54, ...: each addition rounds back to 1.0, so
-        # only a left-to-right sum keeps every prefix norm at r^2 = 1 exactly
-        draws = np.full((3, 20), 2.0**-27)
-        draws[:, 0] = 1.0
-        batch = mcoracle.SampleBatch(nu=math.inf, k=20, n=3, seed=0, draws=draws)
-        assert [p for p, _ in mcoracle.estimate_ball_prob_prefixes(batch, 1.0)] == [1.0] * 20
-        assert_prefixes_match_cumsum(batch, 1.0)
-        # the whole-dimension estimator applies the same rule
-        assert mcoracle.estimate_ball_prob(batch, 1.0) == (1.0, 0.0)
-
-    def test_sums_explicit_draws_in_float64(self):
-        # float32 squares 1 and 2^-24 sum to 1 in float32 but not in float64
-        batch = mcoracle.SampleBatch(nu=math.inf, k=2, n=1, seed=0, draws=np.array([[1.0, 2.0**-12]], dtype=np.float32))
-        assert [p for p, _ in mcoracle.estimate_ball_prob_prefixes(batch, 1.0)] == [1.0, 0.0]
+    def test_read_draws_leave_the_walk(self, monkeypatch):
+        # a batch is summed by the same pair walk whether or not its draws have been built
+        made = []
+        polar = mcoracle.SplitMix64._polar
+        monkeypatch.setattr(mcoracle.SplitMix64, "_polar", lambda gen, u1, pairs: made.append(u1.size) or polar(gen, u1, pairs))
+        batch = mcoracle.sample_t(2.0, 3, B + 1, 31)
+        made.clear()
+        streamed = mcoracle._prefix_estimates(batch, (0.8,))
+        walked = sum(made)
+        batch.draws
+        made.clear()
+        assert mcoracle._prefix_estimates(batch, (0.8,)) == streamed
+        assert sum(made) == walked
 
     # k = 2^14 + 1 splits a Box-Muller pair across two rows; odd k makes even and odd rows two lanes
     @pytest.mark.parametrize("k, n", [(1, 2 * B + 1), (3, B + 1), (4, B + 3), (20, 1001), (B + 1, 3)])

@@ -531,9 +531,9 @@ class TestRegLowerIncGamma:
         with pytest.raises(errors.DomainError):
             specfun.reg_lower_inc_gamma(1.0, math.nan)
 
-    @pytest.mark.parametrize("a,x", [(0.5, 3e19), (250.0, 3e16)])
+    @pytest.mark.parametrize("a,x", [(0.5, 3e19), (250.0, 3e16), (2.0, math.inf)])
     def test_underflowed_front_gives_one(self, a, x):
-        # the continued fraction used to stall here instead of converging
+        # the continued fraction used to stall here instead of converging; x = inf is the limit itself
         assert specfun.reg_lower_inc_gamma(a, x) == 1.0
 
     def test_nonconvergence_is_typed(self):
