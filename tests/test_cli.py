@@ -429,13 +429,12 @@ class TestGrids:
             want = np.linspace(a, b, n).tolist()
         assert [x.hex() for x in cli._linspace(a, b, n)] == [x.hex() for x in want]
 
-    @pytest.mark.parametrize("grid, a, b, n", [("0.5:50:7", 0.5, 50.0, 7), ("0.1:0.3:3", 0.1, 0.3, 3)])
-    def test_linear_grid_through_the_cli(self, grid, a, b, n):
+    def test_linear_grid_through_the_cli(self):
         # without --log the nu column at full precision is numpy.linspace, bit for bit
-        result = invoke(["mode-value", "--k", "2", "--grid", grid, "--precision", "full"])
+        result = invoke(["mode-value", "--k", "2", "--grid", "0.5:50:7", "--precision", "full"])
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
-        assert [float(row[0]).hex() for row in rows] == [x.hex() for x in np.linspace(a, b, n).tolist()]
+        assert [float(row[0]).hex() for row in rows] == [x.hex() for x in np.linspace(0.5, 50.0, 7).tolist()]
 
 
 class TestFormatting:
