@@ -8,11 +8,13 @@ committed tree of --parent and the change the committed tree of --change
 directory (under $TMPDIR) that is removed afterwards, so only committed
 files are measured and nothing is added to `.git`.
 
-The --seed values are used in turn, one per pair. Pair i runs the parent
-first when i is even and the change first when it is odd. Each run is the
-command in BENCHMARK.json with `--workload W --seed S --seconds T
---trace 0`, where T is its `run_seconds`, started from its own checkout
-root, whose last stdout line is one JSON result. The output holds every
+The --seed values are used in turn, one per pair, and the run order flips
+after each round of seeds: pair i runs the parent first when i // (number
+of seeds) is even and the change first when it is odd, so each seed
+alternates between the two orders. Each run is the command in
+BENCHMARK.json with `--workload W --seed S --seconds T --trace 0`, where
+T is its `run_seconds`, started from its own checkout root, whose last
+stdout line is one JSON result. The output holds every
 run with the environment it printed (including a hash of the sources
 measured), each side's median and quartiles per end-to-end metric, and per metric how many pairs each side
 won (ties count for neither), whether the change won at least nine
@@ -111,7 +113,7 @@ def main(argv=None) -> int:
         roots = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = ("parent", "change") if i // len(seeds) % 2 == 0 else ("change", "parent")
             pair = {"pair": i, "seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_once(roots[side], spec["command"], args.workload, seed, seconds)

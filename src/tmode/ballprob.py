@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, QuadratureConvergenceError
-from .specfun import _NORMAL_MIN, _log_gamma_ratio, _reg_inc_beta, _require_nonnegative, digamma, reg_lower_inc_gamma
+from .specfun import _NORMAL_MIN, _log_gamma_ratio, _reg_inc_beta, _reg_lower_inc_gamma, _require_nonnegative, digamma
 from .tdist import check_dim, check_dof
 
 __all__ = [
@@ -68,7 +68,7 @@ def ball_prob(nu, k: int, r) -> float:
             # r = m 2^e split exactly so that the power of two goes to ldexp
             m, e = math.frexp(r)
             return math.ldexp(math.exp(k * (math.log(m) - 0.5 * math.log(2.0)) - math.lgamma(0.5 * k + 1.0)), e * k)
-        return reg_lower_inc_gamma(0.5 * k, 0.5 * r * r)
+        return _reg_lower_inc_gamma(0.5 * k, 0.5 * r * r)
     r2 = r * r
     total = r2 + nu
     log_min = None
@@ -127,7 +127,7 @@ def _tanh_sinh(parts) -> QuadResult:
         error = abs(value - prev) + h * edge
         if error <= 1e-10 * value:
             return QuadResult(value, error)
-    raise QuadratureConvergenceError("tanh-sinh level cap 7 reached", best_estimate=value, error_estimate=error)
+    raise QuadratureConvergenceError(f"tanh-sinh level cap {level} reached", value, error, iterations=level)
 
 
 def ball_prob_quadrature(nu, k: int, r) -> QuadResult:

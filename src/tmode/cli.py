@@ -28,14 +28,12 @@ import math
 import sys
 
 from . import __version__, tdist
-from .errors import ConvergenceError, DimensionMismatchError, DomainError, MomentExistenceError
+from .errors import ConvergenceError, DomainError
 
 SCHEMA_VERSION = "1"
 
 # Default nu grid when mode-value is run without --nu or --grid.
 DEFAULT_FIGURE_GRID = (0.1, 30.0, 200)
-
-_DOMAIN_ERRORS = (DomainError, DimensionMismatchError, MomentExistenceError)
 
 
 class UsageError(Exception):
@@ -193,6 +191,7 @@ def cmd_density_profile(k, nu_text, axis_range):
         nus = [1.0, 2.0, 10.0, math.inf]
     else:
         nus = [tdist.check_dof(nu_text)]
+    k = tdist.check_dim(k)  # before the points' k - 1 zeros are made
     ts = _linspace(lo, hi, n)
     rows = []
     for nu in nus:
@@ -398,7 +397,7 @@ def main(args: list[str] | None = None, prog_name: str = "tmode", standalone_mod
         try:
             header, rows, problems = _COMMANDS[command][0](**options)
             emit(fmt, output, command, header, rows, precision)
-        except (UsageError, *_DOMAIN_ERRORS) as exc:
+        except (UsageError, DomainError) as exc:
             subparsers[command].error(str(exc))
         code = 1 if problems else 0
         for line in problems:

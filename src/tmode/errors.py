@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A public function fails in one of two kinds: DomainError for an argument
+outside the documented domain (the CLI exits 2), and ConvergenceError for
+an expansion or quadrature that stopped short (the CLI exits 1). Every
+other class but MonotonicityViolationError subclasses one of the two.
+"""
 
 __all__ = [
     "DomainError",
@@ -14,29 +20,16 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of a function."""
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(DomainError):
     """A point's length does not match the requested dimension."""
 
 
-class MomentExistenceError(ValueError):
+class MomentExistenceError(DomainError):
     """A radial moment was requested that the distribution does not possess.
 
     The m-th radial moment of the heavy-tailed family exists only for
     m < nu; kurtosis comparisons additionally need nu > 4.
     """
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """The quadrature reached its level cap without converging.
-
-    Carries the best estimate obtained so far plus the achieved error
-    estimate, so callers can still inspect the partial result.
-    """
-
-    def __init__(self, message: str, best_estimate: float, error_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
 
 
 class ConvergenceError(RuntimeError):
@@ -50,6 +43,14 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.iterations = iterations
+
+
+class QuadratureConvergenceError(ConvergenceError):
+    """The quadrature reached its level cap (iterations); carries its last error estimate too."""
+
+    def __init__(self, message: str, best_estimate: float, error_estimate: float, iterations: int):
+        super().__init__(message, best_estimate, iterations)
+        self.error_estimate = error_estimate
 
 
 class MonotonicityViolationError(RuntimeError):

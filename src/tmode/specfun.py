@@ -375,6 +375,11 @@ def reg_lower_inc_gamma(a: float, x: float) -> float:
     x = _real(x, "x")
     if math.isnan(x) or x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x!r}")
+    return _reg_lower_inc_gamma(a, x)
+
+
+def _reg_lower_inc_gamma(a: float, x: float) -> float:
+    # P(a, x) for a checked a and x; ball_prob's Gaussian limit calls it directly
     if x == 0.0:
         return 0.0
     if math.isinf(x):

@@ -62,8 +62,10 @@ def check_dof(nu) -> float:
 
 
 def check_dim(k) -> int:
-    """Validate a dimension: integer k >= 1."""
-    return _require_count(k, "dimension", 1)
+    """Validate a dimension: integer 1 <= k <= 2^53, past which not every integer is a double."""
+    if _require_count(k, "dimension", 1) > 2**53:
+        raise DomainError(f"dimension must be <= 2**53, got a {k.bit_length()}-bit integer")
+    return k
 
 
 def _check_moment_order(m, *nus: float) -> float:
@@ -144,7 +146,7 @@ def log_density(nu, k: int, point: Sequence[float] | Iterable[float]) -> float:
         for c in coords:
             if math.isnan(c) or math.isinf(c):
                 raise DomainError(f"coordinates must be finite, got {c!r}")
-    base = log_mode_value(nu, k)
+    base = _log_ratio_nu(nu, k) - (0.5 * k) * _LN_2PI  # log_mode_value on the checked nu and k
     if math.isinf(nu):
         return base - 0.5 * sq
     if sq == math.inf:

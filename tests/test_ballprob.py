@@ -7,7 +7,7 @@ import time
 import mpmath as mp
 import pytest
 
-from tmode import ballprob, errors
+from tmode import ballprob, errors, specfun
 from tmode.specfun import reg_lower_inc_gamma
 
 RADII = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
@@ -95,6 +95,18 @@ class TestClosedForm:
         for k in (1, 2, 3, 20):
             for r in radii:
                 assert ballprob.ball_prob(math.inf, k, r).hex() == reg_lower_inc_gamma(0.5 * k, 0.5 * r * r).hex()
+
+    def test_gaussian_checks_arguments_once(self, monkeypatch):
+        # ball_prob's own checks cover what reg_lower_inc_gamma would check again
+        monkeypatch.setattr(specfun, "_require_positive", lambda *args: pytest.fail("checked again"))
+        assert ballprob.ball_prob(math.inf, 3, 1.5) > 0.0
+
+    def test_largest_dimension(self):
+        # at nu = 2, I_x(k/2, 1) = x^(k/2) with x = r^2 / (r^2 + 2)
+        k = 2**53
+        r = math.sqrt(k)
+        want = math.exp(0.5 * k * math.log1p(-2.0 / (r * r + 2.0)))
+        assert abs(ballprob.ball_prob(2.0, k, r) - want) <= 1e-13 * want
 
     def test_both_arguments_round_up(self):
         # r^2 + nu rounds down, so x = r^2/(r^2 + nu) and 1 - x = nu/(r^2 + nu)
@@ -215,6 +227,7 @@ class TestQuadrature:
         assert math.isfinite(err.best_estimate)
         assert err.best_estimate == pytest.approx(1.0 / 3.0, rel=1e-2)
         assert err.error_estimate > 0.0
+        assert err.iterations == 7
 
     @pytest.mark.parametrize("nu, k, r", [(10.0, 3, 1e4), (math.inf, 4, 1e3)])
     def test_wide_radius_holds_all_the_mass(self, nu, k, r):

@@ -1,6 +1,8 @@
 """Claim rules of scripts/bench_pairs.py: which parent/change pairs make a gain claimable."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,29 @@ class TestArguments:
             bench_pairs.main(["--workload", "monte-carlo", "--parent", "HEAD~1", "--pairs", pairs])
         assert info.value.code == 2
         assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
+
+
+class TestRunOrder:
+    def test_each_seed_alternates(self, monkeypatch, tmp_path):
+        # no tree is exported and no benchmark runs; the report goes to tmp_path, not the repository
+        spec = (bench_pairs.ROOT / "BENCHMARK.json").read_text()
+        (tmp_path / "BENCHMARK.json").write_text(spec)
+        metrics = {m["name"]: 1.0 for m in json.loads(spec)["end_to_end"]}
+        env = {"cpu_model": "cpu", "nproc": 2, "python": "3", "numpy": "2"}
+        runs = []
+
+        def run_once(root, command, workload, seed, seconds):
+            runs.append((seed, root.name))
+            return {"env": env, "correct": 1, "attempted": 1, "failed": 0, "metrics": metrics}
+
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(bench_pairs, "git", lambda *args: "rev")
+        monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: subprocess.CompletedProcess(a, 0))
+        monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        argv = ["--workload", "monte-carlo", "--parent", "HEAD~1", "--pairs", "4", "--seed", "5", "--seed", "13"]
+        assert bench_pairs.main(argv) == 0
+        assert runs[::2] == [(5, "parent"), (13, "parent"), (5, "change"), (13, "change")]
+        report = json.loads((tmp_path / "BENCH_monte-carlo.json").read_text())
+        for seed in (5, 13):
+            assert sorted(p["first"] for p in report["pairs"] if p["seed"] == seed) == ["change", "parent"]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tmode import ballprob, cli, mcoracle, monotone, tdist
+from tmode import ballprob, cli, errors, mcoracle, monotone, tdist
 from tmode.errors import MonotonicityViolationError
 
 
@@ -277,6 +277,39 @@ class TestExitOne:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(args, prog_name="tmode", standalone_mode=False) == 1
         assert out.getvalue() == result.stdout
+
+
+class TestFailureKinds:
+    """A domain error exits 2 with the usage and one error line; non-convergence exits 1 with one Error: line."""
+
+    @pytest.mark.parametrize("k", [2**53 + 2, 10**400], ids=["2**53+2", "10**400"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mode-value", "--nu", "2"],
+            ["density-profile"],
+            ["moments", "--nu1", "5", "--nu2", "10", "--m", "1"],
+            ["sample", "--nu", "2", "--n", "10"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_dimension_past_2_to_the_53(self, args, k):
+        result = invoke([*args, "--k", str(k)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith(f"usage: tmode {args[0]} ")
+        assert lines[-1] == f"tmode {args[0]}: error: dimension must be <= 2**53, got a {k.bit_length()}-bit integer"
+        assert sum("error" in line for line in lines) == 1
+
+    def test_quadrature_nonconvergence_is_one_line_error(self, monkeypatch):
+        def table1():
+            raise errors.QuadratureConvergenceError("tanh-sinh level cap 7 reached", 0.5, 1e-3, iterations=7)
+
+        monkeypatch.setattr(ballprob, "table1", table1)
+        result = invoke(["table1"])
+        assert result.exit_code == 1
+        assert (result.stdout, result.stderr) == ("", "Error: tanh-sinh level cap 7 reached\n")
 
 
 class TestMoments:

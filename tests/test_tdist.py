@@ -6,7 +6,7 @@ import random
 import mpmath as mp
 import pytest
 
-from tmode import ballprob, errors, monotone, tdist
+from tmode import ballprob, errors, mcoracle, monotone, tdist
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -101,9 +101,56 @@ class TestValidation:
     def test_check_dim(self):
         assert tdist.check_dim(1) == 1
         assert tdist.check_dim(500) == 500
-        for bad in (0, -3, 1.5, True, "2"):
+        assert tdist.check_dim(2**53) == 2**53
+        for bad in (0, -3, 1.5, True, "2", 2**53 + 1):
             with pytest.raises(errors.DomainError):
                 tdist.check_dim(bad)
+
+    def test_two_failure_kinds(self):
+        assert issubclass(errors.DimensionMismatchError, errors.DomainError)
+        assert issubclass(errors.MomentExistenceError, errors.DomainError)
+        assert issubclass(errors.QuadratureConvergenceError, errors.ConvergenceError)
+
+    @pytest.mark.parametrize("k", [2**53 + 2, 10**400], ids=["2**53+2", "10**400"])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda k: tdist.log_mode_value(2.0, k),
+            lambda k: tdist.mode_value(2.0, k),
+            lambda k: tdist.log_density(2.0, k, [0.0]),
+            lambda k: tdist.radial_moment(3.0, k, 1.0),
+            lambda k: tdist.moment_ratio(3.0, 5.0, k, 1.0),
+            lambda k: tdist.kurtosis_ratio(6.0, 7.0, k),
+            lambda k: ballprob.ball_prob(2.0, k, 1.0),
+            lambda k: ballprob.ball_prob_quadrature(2.0, k, 1.0),
+            lambda k: ballprob.format_published(0.5, k),
+            lambda k: monotone.dlog_mode_value(2.0, k),
+            lambda k: monotone.mode_value_even_product(2.0, k),
+            lambda k: monotone.classify_monotonicity(k, [1.0, 2.0]),
+            lambda k: monotone.induction_step_check(2.0, k + 1),
+            lambda k: mcoracle.sample_t(2.0, k, 1, 0),
+        ],
+        ids=[
+            "log_mode_value",
+            "mode_value",
+            "log_density",
+            "radial_moment",
+            "moment_ratio",
+            "kurtosis_ratio",
+            "ball_prob",
+            "ball_prob_quadrature",
+            "format_published",
+            "dlog_mode_value",
+            "mode_value_even_product",
+            "classify_monotonicity",
+            "induction_step_check",
+            "sample_t",
+        ],
+    )
+    def test_dimension_past_2_to_the_53(self, fn, k):
+        # past 2^53 not every dimension is a double; checked before any O(k) work or allocation
+        with pytest.raises(errors.DomainError, match="dimension must be <= 2\\*\\*53"):
+            fn(k)
 
     @pytest.mark.parametrize(
         "fn, args",
@@ -314,6 +361,12 @@ class TestLogDensity:
             want = mp.loggamma((nu_mp + k) / 2) - mp.loggamma(nu_mp / 2) - k * mp.log(mp.pi * nu_mp) / 2
             want -= (nu_mp + k) / 2 * mp.log1p(sq / nu_mp)
             assert abs(tdist.log_density(nu, k, point) / want - 1) <= 1e-13
+
+    def test_checks_each_argument_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tdist, "check_dof", lambda nu, check=tdist.check_dof: calls.append(nu) or check(nu))
+        tdist.log_density(2.5, 2, [1.0, 0.5])
+        assert calls == [2.5]
 
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatchError):
