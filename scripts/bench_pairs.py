@@ -13,21 +13,26 @@ after each round of seeds: pair i runs the parent first when i // (number
 of seeds) is even and the change first when it is odd, so each seed
 alternates between the two orders. Each run is the command in
 BENCHMARK.json with `--workload W --seed S --seconds T --trace 0`, where
-T is its `run_seconds`, started from its own checkout root, whose last
-stdout line is one JSON result. The output holds every
+T is its `run_seconds`, started from its own checkout root with
+PYTHONDONTWRITEBYTECODE=1, whose last stdout line is one JSON result.
+Every spawn then compiles the modules it imports, as in a fresh
+checkout, whatever the caller's environment says. The output holds every
 run with the environment it printed (including a hash of the sources
 measured), each side's median and quartiles per end-to-end metric, and per metric how many pairs each side
 won (ties count for neither), whether the change won at least nine
 tenths of at least ten pairs by more than the parent's interquartile
 range, and whether its median is worse than the parent's by more than
 the bound. Fewer than ten pairs never make a gain claimable: 2 of 2 or
-3 of 3 wins happen by chance too often to count as evidence.
+3 of 3 wins happen by chance too often to count as evidence. Nor does a
+run with `correct: false`, or a pair in which the change failed more
+ops than the parent: a faster wrong answer is no gain.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -53,7 +58,9 @@ def export(rev: str, dest: Path) -> Path:
 
 def run_once(root: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
+    # nothing writes bytecode into the fresh export, so every spawn compiles what it imports
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True, env=env)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     return {
@@ -87,7 +94,9 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
         "parent_wins": sum(g < 0 for g in gains),
         "gain_claimable": len(pairs) >= MIN_CLAIM_PAIRS
         and sum(g > 0 for g in gains) >= 0.9 * len(pairs)
-        and -worse > base["q3"] - base["q1"],
+        and -worse > base["q3"] - base["q1"]
+        and all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
+        and all(p["change"]["failed"] <= p["parent"]["failed"] for p in pairs),
         "worse_beyond_bound": worse > metric["bound"] * abs(base["median"]),
     }
 

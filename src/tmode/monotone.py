@@ -121,7 +121,7 @@ def _scaled_derivative_sum(nu: float, k: int) -> float:
         line = math.fsum(parts)
     if k < 3:
         return line
-    return line - 2.0 * math.fsum([c / (1.0 + nu / j) for j in range(2 - k % 2, k - 1, 2)])
+    return line - 2.0 * math.fsum(c / (1.0 + nu / j) for j in range(2 - k % 2, k - 1, 2))
 
 
 def dlog_mode_value(nu, k: int) -> float:

@@ -96,7 +96,9 @@ def _require_count(n, name: str, least: float = -math.inf) -> int:
     if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"{name} must be an integer, got {n!r}")
     if n < least:
-        raise DomainError(f"{name} must be >= {least}, got {n}")
+        # by its size past 2^53: Python formats no integer of more than 4300 digits
+        got = n if n.bit_length() <= 53 else f"a negative {n.bit_length()}-bit integer"
+        raise DomainError(f"{name} must be >= {least}, got {got}")
     return n
 
 

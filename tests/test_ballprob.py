@@ -190,6 +190,49 @@ QUAD_REFERENCES = [
 ]
 
 
+# ball_prob_quadrature across the range of nu: a sample, drawn once with random.Random(19), of the grids
+# k in {1, 2, 3, 4, 7, 20, 100, 500} times the nu and r below, among masses above 1e-290. References
+# from mpmath 1.3, with a = mpf(k) / 2, b = mpf(nu) / 2, x = r^2 / (r^2 + nu) and y = nu / (r^2 + nu) in mpf
+QUAD_GRID_SAMPLE = [
+    # small nu: nu in {1e-2, 1e-4, 1e-8, 1e-16, 1e-30, 1e-50, 1e-100, 1e-200, 1e-300, 1e-310, 5e-324},
+    # r in {1e-3, 1e-2, 0.1, 0.3, 1, 3, 10, 100, 1e4, 1e10, 1e50, 1e100, 1e200}, and two draws at nu = 5e-324
+    (5e-324, 2, 3.0, 1.843e-321),  # mp.dps = 383; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (5e-324, 20, 1e+100, 2.97e-321),  # mp.dps = 383; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1e-200, 100, 0.001, 2.211111513512577e-198),  # mp.dps = 260; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1e-100, 20, 100.0, 1.1831994070870626e-98),  # mp.dps = 160; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1e-50, 1, 10.0, 6.056035959840513e-49),  # mp.dps = 110; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1e-50, 2, 0.1, 5.526204223185709e-49),  # mp.dps = 110; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1e-50, 2, 1e+100, 2.878231366242557e-48),  # mp.dps = 110; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1e-50, 100, 0.3, 5.412105185136049e-49),  # mp.dps = 110; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1e-16, 4, 100.0, 2.252585092994043e-15),  # mp.dps = 76; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1e-16, 500, 0.1, 1.3069758026243272e-15),  # mp.dps = 76; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1e-08, 500, 0.001, 1.2746400588702234e-10),  # mp.dps = 68; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (0.0001, 2, 10000.0, 0.0013805971534754146),  # mp.dps = 64; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (0.0001, 500, 1e+200, 0.045156080719811705),  # mp.dps = 64; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (0.01, 4, 3.0, 0.028618026590584978),  # mp.dps = 62; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    # middle: nu in {0.3, 1, 2.5, 10, 1e4}, r in {1e-3, 1e-2, 0.1, 0.5, 1, 2, 5, 20, 1e3, 1e10}
+    (0.3, 2, 0.01, 4.999041895541773e-05),  # mp.dps = 60; mp.betainc(a, b, 0, x, regularized=True)
+    (0.3, 20, 2.0, 0.06266574993706107),  # mp.dps = 60; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1.0, 20, 5.0, 0.381731288258796),  # mp.dps = 60; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (1.0, 100, 0.01, 7.919618607947868e-202),  # mp.dps = 60; mp.betainc(a, b, 0, x, regularized=True)
+    (2.5, 1, 5.0, 0.9765488100291382),  # mp.dps = 60; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    (2.5, 2, 0.5, 0.11231446393062677),  # mp.dps = 60; mp.betainc(a, b, 0, x, regularized=True)
+    (2.5, 2, 1.0, 0.3433409176964868),  # mp.dps = 60; mp.betainc(a, b, 0, x, regularized=True)
+    (2.5, 20, 20.0, 0.9730603622920728),  # mp.dps = 60; 1 - mp.betainc(b, a, 0, y, regularized=True)
+    # huge nu: nu in {1e8, 1e12, 1e13, 1e16, 1e20, 1e50, 1e150, 1e300}, r in {0.01, 0.1, 0.5, 1, 2, 3, 5, 7, 10, 20, 40, 100}
+    (100000000.0, 100, 0.01, 2.920214113371063e-280),  # mp.dps = 68; mp.betainc(a, b, 0, x, regularized=True)
+    (100000000.0, 100, 1.0, 1.7888194635748218e-80),  # mp.dps = 68; mp.betainc(a, b, 0, x, regularized=True)
+    (1000000000000.0, 3, 0.5, 0.030859595783743234),  # mp.dps = 72; mp.betainc(a, b, 0, x, regularized=True)
+    (10000000000000.0, 3, 0.5, 0.03085959578372838),  # mp.dps = 73; mp.betainc(a, b, 0, x, regularized=True)
+    (10000000000000.0, 3, 1.0, 0.1987480430987992),  # mp.dps = 73; mp.betainc(a, b, 0, x, regularized=True)
+    (1e+20, 4, 0.1, 1.2458411354275084e-05),  # mp.dps = 80; mp.betainc(a, b, 0, x, regularized=True)
+    (1e+50, 2, 2.0, 0.8646647167633873),  # mp.dps = 110; mp.betainc(a, b, 0, x, regularized=True)
+    (1e+150, 2, 1.0, 0.3934693402873666),  # mp.dps = 210; mp.betainc(a, b, 0, x, regularized=True)
+    (1e+150, 4, 5.0, 0.9999496901821769),  # mp.dps = 210; mp.betainc(a, b, 0, x, regularized=True)
+    (1e+300, 1, 0.5, 0.3829249225480262),  # mp.dps = 360; mp.betainc(a, b, 0, x, regularized=True)
+]
+
+
 class TestQuadrature:
     def test_agrees_on_published_grid(self):
         for nu in ballprob.TABLE1_NU:
@@ -245,12 +288,40 @@ class TestQuadrature:
         # P = 1 - 1 / sqrt(1 + r^2) in the plane at nu = 1
         assert abs(quad.value - (1.0 - 1e-8)) <= 1e-13
 
-    @pytest.mark.parametrize("nu", [1e-8, 0.01])
-    def test_mass_past_the_last_node_raises(self, nu):
-        # log-uniform mass over about 150 decades of pi/2 - theta: no level reaches it
-        with pytest.raises(errors.QuadratureConvergenceError) as info:
-            ballprob.ball_prob_quadrature(nu, 3, 1e150)
-        assert info.value.error_estimate > 1e-10 * info.value.best_estimate
+    @pytest.mark.parametrize(
+        "nu, want",
+        [
+            # mpmath 1.3, 1 - mp.betainc(mpf(nu) / 2, mpf(3) / 2, 0, y, regularized=True), y = nu / (r^2 + nu)
+            (1e-8, 3.5429062389181739e-6),  # mp.dps = 70
+            (0.01, 0.96900234759351702),  # mp.dps = 90
+        ],
+    )
+    def test_mass_spread_over_decades_of_radius(self, nu, want):
+        # the mass is about log-uniform over 150 decades of r, which w = log1p(r^2/nu) holds in [0, 700]
+        assert abs(ballprob.ball_prob_quadrature(nu, 3, 1e150).value - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("nu, k, r, want", QUAD_GRID_SAMPLE)
+    def test_grid_sample_against_mpmath(self, nu, k, r, want):
+        # 1e-13 relative for k <= 20 and 1e-12 up to k = 500, plus one subnormal ulp
+        rtol = 1e-13 if k <= 20 else 1e-12
+        assert abs(ballprob.ball_prob_quadrature(nu, k, r).value - want) <= rtol * want + 5e-324
+
+    def test_peak_far_from_zero(self):
+        # the mass sits about 5e6 from v = 0 in a sliver 0.1% as wide, where the split at the
+        # mode puts nodes; the rounding of the (a-1) ln terms, about 5e6 ln v, is what is left
+        k = 10**7
+        r = 1.001 * math.sqrt(k)
+        # mpmath 1.3, mp.dps = 40; mp.betainc(mpf(k) / 2, mpf(1e4) / 2, 0, x, regularized=True), x = r^2 / (r^2 + nu)
+        assert ballprob.ball_prob_quadrature(1e4, k, r).value == pytest.approx(0.5542969951772111, rel=1e-7)
+
+    @pytest.mark.parametrize("r", [1e-300, 1e-200, 1e-150, 1e-9, 1e-8, 1e-6, 1e-3])
+    def test_tiny_radius(self, r):
+        # from r = 1e-9 down, V (a + 1) < 4e-18 and the value is the leading term e^C V^a / a;
+        # at nu = 1e300, r^2/nu is subnormal from r = 1e-4 down, and V is taken as r^2/2 there
+        cauchy, gauss = 2.0 / math.pi * math.atan(r), math.erf(r / math.sqrt(2.0))
+        assert ballprob.ball_prob_quadrature(1.0, 1, r).value == pytest.approx(cauchy, rel=1e-13, abs=0.0)
+        for nu in (1e300, math.inf):
+            assert ballprob.ball_prob_quadrature(nu, 1, r).value == pytest.approx(gauss, rel=1e-13, abs=0.0)
 
 
 class TestPublishedTable:

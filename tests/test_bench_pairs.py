@@ -16,11 +16,12 @@ HIGHER = {"name": "draws_per_s", "unit": "1/s", "better": "higher", "bound": 0.2
 LOWER = {"name": "peak_mib", "unit": "MiB", "better": "lower", "bound": 0.25}
 
 
+def side(metric, value, correct=True, failed=0):
+    return {"correct": correct, "failed": failed, "metrics": {metric["name"]: value}}
+
+
 def summarize(metric, parent, change):
-    pairs = [
-        {"parent": {"metrics": {metric["name"]: b}}, "change": {"metrics": {metric["name"]: c}}}
-        for b, c in zip(parent, change)
-    ]
+    pairs = [{"parent": side(metric, b), "change": side(metric, c)} for b, c in zip(parent, change)]
     return bench_pairs.summarize(metric, pairs)
 
 
@@ -65,6 +66,25 @@ class TestGainClaimable:
     def test_equal_runs_claim_nothing(self):
         got = summarize(HIGHER, [100.0] * 10, [100.0] * 10)
         assert (got["change_wins"], got["parent_wins"], got["gain_claimable"]) == (0, 0, False)
+
+
+class TestSoundRuns:
+    @pytest.mark.parametrize("who", ["parent", "change"])
+    def test_incorrect_run_claims_nothing(self, who):
+        pairs = [{"parent": side(HIGHER, 100.0), "change": side(HIGHER, 120.0)} for _ in range(10)]
+        assert bench_pairs.summarize(HIGHER, pairs)["gain_claimable"]
+        pairs[3][who]["correct"] = False
+        got = bench_pairs.summarize(HIGHER, pairs)
+        assert got["change_wins"] == 10 and not got["gain_claimable"]
+
+    def test_more_failed_ops_claim_nothing(self):
+        pairs = [{"parent": side(HIGHER, 100.0, failed=2), "change": side(HIGHER, 120.0, failed=2)} for _ in range(10)]
+        assert bench_pairs.summarize(HIGHER, pairs)["gain_claimable"]
+        pairs[7]["change"]["failed"] = 3
+        assert not bench_pairs.summarize(HIGHER, pairs)["gain_claimable"]
+        # fewer failures than the parent's do not stand in the way
+        pairs[7]["change"]["failed"] = 1
+        assert bench_pairs.summarize(HIGHER, pairs)["gain_claimable"]
 
 
 class TestWorseBeyondBound:
@@ -125,3 +145,63 @@ class TestRunOrder:
         report = json.loads((tmp_path / "BENCH_monte-carlo.json").read_text())
         for seed in (5, 13):
             assert sorted(p["first"] for p in report["pairs"] if p["seed"] == seed) == ["change", "parent"]
+
+
+def run_pairs(monkeypatch, tmp_path, pairs, outcome):
+    """bench_pairs.main over pairs with run_once patched; outcome(side, index) gives (value, correct, failed)."""
+    spec = (bench_pairs.ROOT / "BENCHMARK.json").read_text()
+    (tmp_path / "BENCHMARK.json").write_text(spec)
+    env = {"cpu_model": "cpu", "nproc": 2, "python": "3", "numpy": "2"}
+    count = {"parent": 0, "change": 0}
+
+    def run_once(root, command, workload, seed, seconds):
+        value, correct, failed = outcome(root.name, count[root.name])
+        count[root.name] += 1
+        metrics = {m["name"]: value for m in json.loads(spec)["end_to_end"]}
+        return {"env": env, "correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "rev")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: subprocess.CompletedProcess(a, 0))
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--workload", "verify", "--parent", "HEAD~1", "--pairs", str(pairs)]) == 0
+    return json.loads((tmp_path / "BENCH_verify.json").read_text())
+
+
+class TestReport:
+    def test_incorrect_change_claims_nothing(self, monkeypatch, tmp_path):
+        # the change's cli_p50_ms is better in all ten pairs, but its sixth run printed correct: false
+        def outcome(side, i):
+            return (100.0, True, 0) if side == "parent" else (50.0, i != 5, 0)
+
+        report = run_pairs(monkeypatch, tmp_path, 10, outcome)
+        assert report["metrics"]["cli_p50_ms"]["change_wins"] == 10
+        assert not any(m["gain_claimable"] for m in report["metrics"].values())
+
+    def test_sound_change_claims(self, monkeypatch, tmp_path):
+        report = run_pairs(monkeypatch, tmp_path, 10, lambda side, i: (100.0 if side == "parent" else 50.0, True, 0))
+        assert report["metrics"]["cli_p50_ms"]["gain_claimable"]
+
+
+class TestRunOnce:
+    def test_children_write_no_bytecode(self, monkeypatch, tmp_path):
+        # whatever the caller's environment says, each run starts with PYTHONDONTWRITEBYTECODE=1
+        seen = {}
+        result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"call_p50_us": {"value": 1.5}}}
+
+        def run(argv, **kwargs):
+            seen.update(kwargs, argv=argv)
+            stdout = f"env {json.dumps({'cpu_model': 'cpu'})}\n{json.dumps(result)}\n"
+            return subprocess.CompletedProcess(argv, 0, stdout, "")
+
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+        monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+        got = bench_pairs.run_once(tmp_path, ["python3", "perfbench/run.py"], "verify", 3, 16)
+        assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert seen["env"]["BENCH_PAIRS_PROBE"] == "kept"
+        assert seen["cwd"] == tmp_path
+        assert seen["argv"][-8:] == ["--workload", "verify", "--seed", "3", "--seconds", "16", "--trace", "0"]
+        assert got["env"] == {"cpu_model": "cpu"} and got["metrics"] == {"call_p50_us": 1.5}
+        assert (got["correct"], got["attempted"], got["failed"]) == (True, 3, 0)

@@ -6,6 +6,7 @@ stays at 1/(2 pi) in the plane, and falls with nu from dimension 3 on.
 
 import math
 import random
+import tracemalloc
 
 import mpmath as mp
 import pytest
@@ -146,6 +147,19 @@ class TestScaledDerivativeSum:
         nus += [10.0 ** rng.uniform(-320.0, 308.0) for _ in range(200)]
         for nu in nus:
             assert monotone._scaled_derivative_sum(nu, k).hex() == loop_scaled_derivative_sum(nu, k).hex(), nu
+
+    def test_memory_does_not_grow_with_k(self):
+        # the k/2 = 10^6 terms go to fsum as they are made; a list of them would hold about 32 MiB
+        k = 2 * 10**6 + 1
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            value = monotone._scaled_derivative_sum(2.0, k)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**16
+        assert value.hex() == loop_scaled_derivative_sum(2.0, k).hex()
 
 
 def loop_even_product(nu: float, k: int) -> float:
@@ -316,6 +330,8 @@ class TestDefaultGrid:
             monotone.default_nu_grid(0.1, 1.0, 5.0)
         with pytest.raises(errors.DomainError):
             monotone.default_nu_grid(0.1, 1.0, "5")
+        with pytest.raises(errors.DomainError):
+            monotone.default_nu_grid(points=-10**5000)
 
 
 class TestInductionStep:

@@ -102,7 +102,7 @@ class TestValidation:
         assert tdist.check_dim(1) == 1
         assert tdist.check_dim(500) == 500
         assert tdist.check_dim(2**53) == 2**53
-        for bad in (0, -3, 1.5, True, "2", 2**53 + 1):
+        for bad in (0, -3, 1.5, True, "2", 2**53 + 1, -10**5000):
             with pytest.raises(errors.DomainError):
                 tdist.check_dim(bad)
 
