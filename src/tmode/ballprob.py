@@ -142,8 +142,8 @@ def ball_prob_quadrature(nu, k: int, r) -> QuadResult:
     4.6e-15 and 3.0e-14 on nu = 5e-324 to 1e-2, r = 1e-3 to 1e200 (a subnormal
     result to its last ulp); 1.4e-14 and 7.4e-14 on nu = 0.3 to 1e4, r = 1e-3 to
     1e10; 1.2e-14 and 1.9e-13 on nu = 1e8 to 1e300 and inf, r = 0.01 to 100; and
-    1.6e-13 for k <= 20 at r down to 1e-300. At k = 5000 it reaches 1 + 6.8e-13;
-    at k = 10^7, nu = 1e4 it is 1.7e-8 off.
+    1.6e-13 for k <= 20 at r down to 1e-300. The rounding of ln Gamma(a) and
+    (a-1) ln v grows with k: 1 + 2.1e-12 at k = 5000, 1.7e-8 at k = 10^7.
     """
     nu = check_dof(nu)
     k = check_dim(k)
