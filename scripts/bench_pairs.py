@@ -26,6 +26,11 @@ the bound. Fewer than ten pairs never make a gain claimable: 2 of 2 or
 3 of 3 wins happen by chance too often to count as evidence. Nor does a
 run with `correct: false`, or a pair in which the change failed more
 ops than the parent: a faster wrong answer is no gain.
+
+A run that exits nonzero or prints no result line ends the loop: the
+report keeps the pairs finished before it, records the failed run (pair,
+seed, side, exit code and the last lines of its stderr) as
+"failed_run", claims no gain, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -42,6 +47,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK_FILES = ("BENCHMARK.json", "perfbench")
 MIN_CLAIM_PAIRS = 10
+STDERR_LINES = 20
+
+
+class RunFailed(Exception):
+    """A benchmark run that exited nonzero or printed no result line."""
+
+    def __init__(self, exit_code: int, stderr: list[str]):
+        super().__init__(f"exit code {exit_code}")
+        self.exit_code, self.stderr = exit_code, stderr
 
 
 def git(*args: str) -> str:
@@ -60,16 +74,21 @@ def run_once(root: Path, command: list[str], workload: str, seed: int, seconds: 
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     # nothing writes bytecode into the fresh export, so every spawn compiles what it imports
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True, env=env)
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1])
-    return {
-        "env": next(json.loads(line[4:]) for line in lines if line.startswith("env ")),
-        "correct": result["correct"],
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-    }
+    if proc.returncode == 0:
+        try:
+            result = json.loads(lines[-1])
+            return {
+                "env": next(json.loads(line[4:]) for line in lines if line.startswith("env ")),
+                "correct": result["correct"],
+                "attempted": result["attempted"],
+                "failed": result["failed"],
+                "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            }
+        except (IndexError, KeyError, TypeError, ValueError, StopIteration):
+            pass  # no result line: as much a failed run as a nonzero exit
+    raise RunFailed(proc.returncode, proc.stderr.splitlines()[-STDERR_LINES:])
 
 
 def spread(values: list[float]) -> dict:
@@ -117,17 +136,28 @@ def main(argv=None) -> int:
     if subprocess.run(["git", "diff", "--quiet", args.parent, args.change, "--", *BENCHMARK_FILES], cwd=ROOT).returncode:
         parser.error("the benchmark files differ between the two sides; measure both with the same benchmark")
     revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    pairs = []
+    pairs, failed_run = [], None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         roots = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             order = ("parent", "change") if i // len(seeds) % 2 == 0 else ("change", "parent")
             pair = {"pair": i, "seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(roots[side], spec["command"], args.workload, seed, seconds)
-                print(f"pair {i} seed {seed} {side}: " + json.dumps(pair[side]["metrics"]), flush=True)
+            try:
+                for side in order:
+                    pair[side] = run_once(roots[side], spec["command"], args.workload, seed, seconds)
+                    print(f"pair {i} seed {seed} {side}: " + json.dumps(pair[side]["metrics"]), flush=True)
+            except RunFailed as exc:
+                failed_run = {"pair": i, "seed": seed, "side": side, "exit_code": exc.exit_code, "stderr": exc.stderr}
+                print(f"pair {i} seed {seed} {side}: run failed with exit code {exc.exit_code}", file=sys.stderr)
+                print(*exc.stderr, sep="\n", file=sys.stderr)
+                break
             pairs.append(pair)
+    metrics = {m["name"]: summarize(m, pairs) for m in spec["end_to_end"]} if pairs else {}
+    if failed_run is not None:
+        # a loop cut short by a failed run is no evidence of a gain, however many pairs it finished
+        for m in metrics.values():
+            m["gain_claimable"] = False
     report = {
         "workload": args.workload,
         "parent": revs["parent"],
@@ -138,8 +168,11 @@ def main(argv=None) -> int:
             (p["parent"]["attempted"], p["parent"]["failed"]) == (p["change"]["attempted"], p["change"]["failed"])
             for p in pairs
         ),
-        "host": {key: pairs[0]["parent"]["env"][key] for key in ("cpu_model", "nproc", "python", "numpy")},
-        "metrics": {m["name"]: summarize(m, pairs) for m in spec["end_to_end"]},
+        "host": {key: pairs[0]["parent"]["env"][key] for key in ("cpu_model", "nproc", "python", "numpy")}
+        if pairs
+        else None,
+        "failed_run": failed_run,
+        "metrics": metrics,
         "pairs": pairs,
     }
     out = ROOT / f"BENCH_{args.workload}.json"
@@ -151,7 +184,7 @@ def main(argv=None) -> int:
             f"worse beyond bound {m['worse_beyond_bound']}"
         )
     print(f"wrote {out.relative_to(ROOT)}")
-    return 0
+    return 0 if failed_run is None else 1
 
 
 if __name__ == "__main__":

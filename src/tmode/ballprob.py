@@ -48,10 +48,10 @@ def ball_prob(nu, k: int, r) -> float:
     For finite nu the squared norm satisfies |X|^2/k ~ F(k, nu), so the
     probability is I_x(k/2, nu/2) at x = r^2/(r^2 + nu), with the
     complement 1 - x = nu/(r^2 + nu) passed alongside so it is never
-    formed by subtraction. Where r^2 + nu overflows, both come from
-    ln(1 - x) = ln nu - 2 ln r - log1p(nu/r^2), which also goes to the
-    front factor. Where r^2 or x falls below the normal doubles,
-    ln x = 2 ln r - ln(r^2 + nu) goes to the front factor instead, so tiny
+    formed by subtraction, and so is the log of the smaller of the two.
+    Where r^2 + nu overflows, both come from
+    ln(1 - x) = ln nu - 2 ln r - log1p(nu/r^2). Where r^2 or x falls below
+    the normal doubles, the log is ln x = 2 ln r - ln(r^2 + nu), so tiny
     radii keep their relative accuracy. The Gaussian limit uses the
     chi-square law, P(k/2, r^2/2), or its leading series term where r^2
     falls below the normal doubles.
@@ -71,24 +71,26 @@ def ball_prob(nu, k: int, r) -> float:
         return _reg_lower_inc_gamma(0.5 * k, 0.5 * r * r)
     r2 = r * r
     total = r2 + nu
-    log_min = None
+    log_small = None
     if math.isinf(total):
-        # r > 1.34e154: y = nu / (r^2 + nu) < 1/2, the smaller side, comes from its log
-        log_min = math.log(nu) - 2.0 * math.log(r) - math.log1p(nu / r / r)
-        y, x = math.exp(log_min), -math.expm1(log_min)
+        # y = nu / (r^2 + nu) comes from its log; x is the smaller side only where nu > 9e307
+        log_small = math.log(nu) - 2.0 * math.log(r) - math.log1p(nu / r / r)
+        y, x = math.exp(log_small), -math.expm1(log_small)
+        if x < y:
+            log_small = math.log(x)
     else:
         y, x = nu / total, r2 / total
     if (y == 0.0 and nu < 2.0**-51) or 0.5 * nu == 0.0:
         # nu < 4.4e-16: ln(1 - P) = b (ln y + psi(k/2) - psi(1)) to first order in b = nu/2,
         # clamped where r^2 is near nu and the true P is a few subnormals at most
-        log_y = math.log(nu) - math.log(total) if log_min is None else log_min
+        log_y = math.log(nu) - math.log(total) if log_small is None else log_small
         log_tail = (log_y + digamma(0.5 * k) - digamma(1.0)) * 0.5 * nu
         return max(0.0, -math.expm1(log_tail))
     # where r^2 or x falls below the normal doubles it has lost bits or
     # underflowed, so ln x, the log of the smaller side, comes from ln r
     if (x < _NORMAL_MIN or r2 < _NORMAL_MIN) and r2 < nu:
-        log_min = 2.0 * math.log(r) - math.log(total)
-    return _reg_inc_beta(0.5 * k, 0.5 * nu, x, y, log_min)
+        log_small = 2.0 * math.log(r) - math.log(total)
+    return _reg_inc_beta(0.5 * k, 0.5 * nu, x, y, math.log(min(x, y)) if log_small is None else log_small)
 
 
 @functools.cache
@@ -103,8 +105,8 @@ def _nodes(level: int) -> tuple[tuple[float, float], ...]:
     return tuple(nodes)
 
 
-def _tanh_sinh(parts) -> QuadResult:
-    """Sum over (log_f, a, b) in parts of the integral of exp(log_f) on [a, b].
+def _tanh_sinh(log_f, ends) -> QuadResult:
+    """The integral of exp(log_f) over the parts [a, b] between neighbouring ends, b > a.
 
     Tanh-sinh (Takahasi & Mori 1974), its step halved each level; a node at
     a + (b - a) d or b - (b - a) d keeps its relative accuracy near an end.
@@ -112,15 +114,15 @@ def _tanh_sinh(parts) -> QuadResult:
     stops once two levels differ by at most 1e-10 of the value (no absolute
     floor) and raises QuadratureConvergenceError at level 7.
     """
-    sides = [(log_f, end, step) for log_f, a, b in parts if b > a for end, step in ((a, b - a), (b, a - b))]
-    terms = [[abs(step) * w * math.exp(log_f(end + step * d)) for d, w in _nodes(0)] for log_f, end, step in sides]
+    sides = [(end, step) for a, b in zip(ends, ends[1:]) if b > a for end, step in ((a, b - a), (b, a - b))]
+    terms = [[abs(step) * w * math.exp(log_f(end + step * d)) for d, w in _nodes(0)] for end, step in sides]
     raw = sum(map(sum, terms))
     lasts = [min(12, 1 + max((j for j, g in enumerate(t) if g > 1e-15 * raw), default=-1)) for t in terms]
     # the outermost kept nodes' share: large where mass lies past them, so that sum runs to the cap
     edge = sum(t[last] for t, last in zip(terms, lasts))
     value = 0.375 * raw
     for level in range(1, 8):
-        for (log_f, end, step), last in zip(sides, lasts):
+        for (end, step), last in zip(sides, lasts):
             raw += abs(step) * sum(w * math.exp(log_f(end + step * d)) for d, w in _nodes(level)[: last << level - 1])
         h = 0.375 * 0.5**level
         prev, value = value, h * raw
@@ -174,7 +176,7 @@ def ball_prob_quadrature(nu, k: int, r) -> QuadResult:
     def log_f(v: float) -> float:
         return log_c + a1 * math.log(-s * math.expm1(-v / s)) - rate * v
 
-    value, error = _tanh_sinh([(log_f, 0.0, min(mode, top)), (log_f, mode, top)])
+    value, error = _tanh_sinh(log_f, (0.0, min(mode, top), top))
     return QuadResult(scale * value, scale * error)
 
 

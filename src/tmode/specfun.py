@@ -313,23 +313,20 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     x = _real(x, "x")
     if math.isnan(x) or x < 0.0 or x > 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    return _reg_inc_beta(a, b, x, 1.0 - x)
-
-
-def _reg_inc_beta(a: float, b: float, x: float, y: float, log_min: float | None = None) -> float:
-    # I_x(a, b) for checked a, b and y = 1 - x, which ball_prob forms without
-    # cancellation. Where the smaller of x and y has lost bits to underflow,
-    # ball_prob passes its log as log_min. The side is chosen once, as x and y
-    # may both pass their switch points when each is an ulp above 1 - the other.
-    if log_min is None and (x == 0.0 or y == 0.0):
+    if x == 0.0 or x == 1.0:
         return 0.0 if x == 0.0 else 1.0
+    return _reg_inc_beta(a, b, x, 1.0 - x, math.log(min(x, 1.0 - x)))
+
+
+def _reg_inc_beta(a: float, b: float, x: float, y: float, log_small: float) -> float:
+    # I_x(a, b) for checked a, b and x, y = 1 - x in (0, 1). Every caller forms y without
+    # cancellation and log_small = ln min(x, y) from its own inputs, so a side that has lost
+    # bits to underflow keeps an accurate log. The side is chosen once, as x and y may both
+    # pass their switch points when each is an ulp above 1 - the other.
     flip = x > (a + 1.0) / (a + b + 2.0)
     if flip:
         a, b, x, y = b, a, y, x
-    if x <= y:
-        log_x, log_y = math.log(x) if log_min is None else log_min, math.log1p(-x)
-    else:
-        log_x, log_y = math.log1p(-y), math.log(y) if log_min is None else log_min
+    log_x, log_y = (log_small, math.log1p(-x)) if x <= y else (math.log1p(-y), log_small)
     if a >= b:
         p, q, rest = a, b, b * (math.log(a) + log_y) + a * log_x - math.lgamma(b)
     else:

@@ -29,19 +29,19 @@ class TestClosedForm:
     def test_two_dof_closed_forms(self):
         for r in RADII:
             assert ballprob.ball_prob(2.0, 1, r) == pytest.approx(
-                r / math.sqrt(2.0 + r * r), rel=1e-13
+                r / math.sqrt(2.0 + r * r), rel=1e-13, abs=0.0
             )
             assert ballprob.ball_prob(2.0, 2, r) == pytest.approx(
-                r * r / (r * r + 2.0), rel=1e-13
+                r * r / (r * r + 2.0), rel=1e-13, abs=0.0
             )
 
     def test_gaussian_closed_forms(self):
         for r in RADII:
             assert ballprob.ball_prob(math.inf, 1, r) == pytest.approx(
-                math.erf(r / math.sqrt(2.0)), rel=1e-13
+                math.erf(r / math.sqrt(2.0)), rel=1e-13, abs=0.0
             )
             assert ballprob.ball_prob(math.inf, 2, r) == pytest.approx(
-                -math.expm1(-0.5 * r * r), rel=1e-13
+                -math.expm1(-0.5 * r * r), rel=1e-13, abs=0.0
             )
 
     def test_huge_nu_matches_gaussian(self):
@@ -114,7 +114,28 @@ class TestClosedForm:
         r = 1.1547005383792515
         assert r * r == 4.0 / 3.0
         # nu = 1, k = 2: P = 1 - sqrt(1 - x)
-        assert ballprob.ball_prob(1.0, 2, r) == pytest.approx(1.0 - math.sqrt(3.0 / 7.0), rel=1e-13)
+        assert ballprob.ball_prob(1.0, 2, r) == pytest.approx(1.0 - math.sqrt(3.0 / 7.0), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "nu, r",
+        [
+            (3.0, 1.5),  # x and y normal
+            (1.0, 1e-200),  # r^2 underflows
+            (1e300, 1e-150),  # x underflows
+            (1e-3, 1e200),  # r^2 + nu overflows, y the smaller side
+            (1.7e308, 1.3e154),  # r^2 + nu overflows, x the smaller side
+        ],
+    )
+    def test_passes_the_log_of_the_smaller_side(self, monkeypatch, nu, r):
+        # the incomplete beta kernel takes ln min(x, y) from its caller in every regime
+        seen = []
+        monkeypatch.setattr(ballprob, "_reg_inc_beta", lambda a, b, x, y, log_small: seen.append(log_small) or 0.5)
+        ballprob.ball_prob(nu, 3, r)
+        with mp.workdps(40):
+            r2 = mp.mpf(r) ** 2
+            want = mp.log(min(r2, mp.mpf(nu)) / (r2 + nu))
+        # where r^2 + nu overflows, ln nu - 2 ln r near 1400 leaves an error of a few 1e-13
+        assert seen == [pytest.approx(float(want), rel=1e-15, abs=1e-12)]
 
     def test_overflowing_sum_takes_y_from_its_log(self):
         # r^2 + nu is not representable; ln y = ln nu - 2 ln r - log1p(nu / r^2) is
@@ -263,12 +284,11 @@ class TestQuadrature:
 
     def test_level_cap_raises_with_partial_result(self):
         # across a jump each halving moves the sum by about the step, so no two levels agree to 1e-10
-        step = [(lambda x: 0.0 if x < 1.0 / 3.0 else -math.inf, 0.0, 1.0)]
         with pytest.raises(errors.QuadratureConvergenceError) as info:
-            ballprob._tanh_sinh(step)
+            ballprob._tanh_sinh(lambda x: 0.0 if x < 1.0 / 3.0 else -math.inf, (0.0, 1.0))
         err = info.value
         assert math.isfinite(err.best_estimate)
-        assert err.best_estimate == pytest.approx(1.0 / 3.0, rel=1e-2)
+        assert err.best_estimate == pytest.approx(1.0 / 3.0, rel=1e-2, abs=0.0)
         assert err.error_estimate > 0.0
         assert err.iterations == 7
 
@@ -312,7 +332,7 @@ class TestQuadrature:
         k = 10**7
         r = 1.001 * math.sqrt(k)
         # mpmath 1.3, mp.dps = 40; mp.betainc(mpf(k) / 2, mpf(1e4) / 2, 0, x, regularized=True), x = r^2 / (r^2 + nu)
-        assert ballprob.ball_prob_quadrature(1e4, k, r).value == pytest.approx(0.5542969951772111, rel=1e-7)
+        assert ballprob.ball_prob_quadrature(1e4, k, r).value == pytest.approx(0.5542969951772111, rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("r", [1e-300, 1e-200, 1e-150, 1e-9, 1e-8, 1e-6, 1e-3])
     def test_tiny_radius(self, r):

@@ -205,3 +205,54 @@ class TestRunOnce:
         assert seen["argv"][-8:] == ["--workload", "verify", "--seed", "3", "--seconds", "16", "--trace", "0"]
         assert got["env"] == {"cpu_model": "cpu"} and got["metrics"] == {"call_p50_us": 1.5}
         assert (got["correct"], got["attempted"], got["failed"]) == (True, 3, 0)
+
+    @pytest.mark.parametrize("returncode, stdout", [(1, "env {}\n"), (0, "env {}\n"), (0, "env {}\nnot json\n")])
+    def test_failed_run_raises_with_stderr_tail(self, monkeypatch, tmp_path, returncode, stdout):
+        stderr = "".join(f"line {i}\n" for i in range(30))
+        done = subprocess.CompletedProcess([], returncode, stdout, stderr)
+        monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kw: done)
+        with pytest.raises(bench_pairs.RunFailed) as info:
+            bench_pairs.run_once(tmp_path, ["python3", "perfbench/run.py"], "verify", 3, 16)
+        assert info.value.exit_code == returncode
+        assert info.value.stderr == [f"line {i}" for i in range(10, 30)]
+
+
+class TestFailedRun:
+    @pytest.mark.parametrize("fails_at, finished", [(1, 0), (4, 1), (22, 10)])
+    def test_report_keeps_finished_pairs(self, monkeypatch, tmp_path, capsys, fails_at, finished):
+        # subprocess.run stands in for git and for every benchmark run; run fails_at exits 1, and the
+        # change is faster in every finished pair, which with ten of them would be a claimable gain
+        spec = (bench_pairs.ROOT / "BENCHMARK.json").read_text()
+        (tmp_path / "BENCHMARK.json").write_text(spec)
+        env = {"cpu_model": "cpu", "nproc": 2, "python": "3", "numpy": "2"}
+        runs = []
+
+        def run(argv, **kwargs):
+            if argv[0] == "git":
+                return subprocess.CompletedProcess(argv, 0)
+            runs.append(kwargs["cwd"].name)
+            if len(runs) == fails_at:
+                return subprocess.CompletedProcess(argv, 1, "", "Traceback\nMemoryError\n")
+            value = 1.0 if kwargs["cwd"].name == "parent" else 0.5
+            metrics = {m["name"]: {"value": value} for m in json.loads(spec)["end_to_end"]}
+            result = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+            return subprocess.CompletedProcess(argv, 0, f"env {json.dumps(env)}\n{json.dumps(result)}\n", "")
+
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(bench_pairs, "git", lambda *args: "rev")
+        monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+        monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+        assert bench_pairs.main(["--workload", "verify", "--parent", "HEAD~1", "--pairs", "12"]) == 1
+        assert len(runs) == fails_at
+        report = json.loads((tmp_path / "BENCH_verify.json").read_text())
+        assert len(report["pairs"]) == finished
+        # one seed: even pairs run the parent first, odd pairs the change
+        pair, second = divmod(fails_at - 1, 2)
+        side = ("parent", "change")[(second + pair) % 2]
+        want = {"pair": pair, "seed": 1, "side": side, "exit_code": 1, "stderr": ["Traceback", "MemoryError"]}
+        assert report["failed_run"] == want
+        assert (report["host"] is None, report["metrics"] == {}) == (not finished, not finished)
+        if finished:
+            assert report["metrics"]["cli_p50_ms"]["change_wins"] == finished
+        assert not any(m["gain_claimable"] for m in report["metrics"].values())
+        assert "run failed with exit code 1" in capsys.readouterr().err

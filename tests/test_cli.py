@@ -50,7 +50,7 @@ class TestModeValue:
         header, rows = parse_csv(result.output)
         assert header == ["nu", "mode_value"]
         assert len(rows) == 1
-        assert float(rows[0][1]) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-5)
+        assert float(rows[0][1]) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-5, abs=0.0)
 
     def test_log_grid_increasing_on_the_line(self):
         result = invoke(["mode-value", "--k", "1", "--grid", "0.1:100:50", "--log", "--precision", "full"])
@@ -78,7 +78,7 @@ class TestModeValue:
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
         assert rows[0][0] == "inf"
-        assert float(rows[0][1]) == pytest.approx((2.0 * math.pi) ** -0.5, rel=1e-14)
+        assert float(rows[0][1]) == pytest.approx((2.0 * math.pi) ** -0.5, rel=1e-14, abs=0.0)
         for spelling in ("Infinity", " INF "):
             other = invoke(["mode-value", "--k", "1", "--nu", spelling, "--precision", "full"])
             assert other.exit_code == 0
@@ -137,7 +137,7 @@ class TestDensityProfile:
     def test_cauchy_center_value(self):
         result = invoke(["density-profile", "--k", "1", "--nu", "1", "--axis-range", "0:1:2", "--precision", "full"])
         _, rows = parse_csv(result.output)
-        assert float(rows[0][2]) == pytest.approx(1.0 / math.pi, rel=1e-14)
+        assert float(rows[0][2]) == pytest.approx(1.0 / math.pi, rel=1e-14, abs=0.0)
 
     def test_peak_ordering_flips_in_dimension_three(self):
         result = invoke(["density-profile", "--k", "3", "--axis-range", "0:1:2", "--precision", "full"])
@@ -321,7 +321,7 @@ class TestMoments:
         assert len(rows) == 10
         ratios = {r[1] for r in rows}
         assert len(ratios) == 1
-        assert float(ratios.pop()) == pytest.approx(4.0 / 3.0, rel=1e-13)
+        assert float(ratios.pop()) == pytest.approx(4.0 / 3.0, rel=1e-13, abs=0.0)
 
     def test_same_member_gives_unit_ratio(self):
         result = invoke(["moments", "--nu1", "6", "--nu2", "6", "--k", "2", "--m", "3", "--precision", "full"])
@@ -343,7 +343,7 @@ class TestMoments:
         result = invoke(["moments", "--nu1", "inf", "--nu2", "5", "--k", "2", "--m", "2", "--precision", "full"])
         assert result.exit_code == 0
         _, rows = parse_csv(result.output)
-        assert float(rows[0][1]) == pytest.approx(3.0 / 5.0, rel=1e-13)
+        assert float(rows[0][1]) == pytest.approx(3.0 / 5.0, rel=1e-13, abs=0.0)
 
 
 class TestSample:

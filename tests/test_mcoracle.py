@@ -418,7 +418,7 @@ class TestEstimateBallProb:
             analytic = ballprob.ball_prob(nu, k, r)
             se_true = math.sqrt(analytic * (1.0 - analytic) / batch.n)
             assert abs(est - analytic) <= 4.0 * se_true
-            assert se == pytest.approx(se_true, rel=0.2)
+            assert se == pytest.approx(se_true, rel=0.2, abs=0.0)
 
     def test_prefix_estimates(self):
         batch = mcoracle.sample_t(2.0, 4, 80000, 21)

@@ -174,12 +174,12 @@ class TestValidation:
 class TestModeValue:
     @pytest.mark.parametrize("nu,k,want", MODE_VALUE_REFS)
     def test_frozen_references(self, nu, k, want):
-        assert tdist.mode_value(nu, k) == pytest.approx(want, rel=1e-13)
+        assert tdist.mode_value(nu, k) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_gaussian_member(self):
         for k in range(1, 12):
             want = (2.0 * math.pi) ** (-0.5 * k)
-            assert tdist.mode_value(math.inf, k) == pytest.approx(want, rel=1e-14)
+            assert tdist.mode_value(math.inf, k) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_planar_case_is_constant(self):
         rng = random.Random(90125)
@@ -189,7 +189,7 @@ class TestModeValue:
         assert abs(value - INV_2PI) <= 1e-14
 
     def test_cauchy_line(self):
-        assert tdist.mode_value(1.0, 1) == pytest.approx(1.0 / math.pi, rel=1e-14)
+        assert tdist.mode_value(1.0, 1) == pytest.approx(1.0 / math.pi, rel=1e-14, abs=0.0)
 
     def test_no_overflow_high_dimension(self):
         # Naive Gamma ratios overflow long before nu = 1e8 or k = 500.
@@ -218,7 +218,7 @@ class TestModeValue:
             (5e-324, 4, 741.45746496912252),
             (5e-324, 3, 369.68901171372134),
         ):
-            assert tdist.log_mode_value(nu, k) == pytest.approx(want, rel=1e-15)
+            assert tdist.log_mode_value(nu, k) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 1001])
     def test_subnormal_tail_weight_against_mpmath(self, n):
@@ -227,11 +227,11 @@ class TestModeValue:
         for k in (1, 2, 3, 20, 500):
             with mp.workdps(60):
                 want = mp.loggamma((mp.mpf(nu) + k) / 2) - mp.loggamma(mp.mpf(nu) / 2) - mp.mpf(k) / 2 * mp.log(mp.pi * nu)
-            assert tdist.log_mode_value(nu, k) == pytest.approx(float(want), rel=1e-15), (n, k)
+            assert tdist.log_mode_value(nu, k) == pytest.approx(float(want), rel=1e-15, abs=0.0), (n, k)
 
     def test_log_consistency(self):
         for nu, k, want in MODE_VALUE_REFS:
-            assert math.exp(tdist.log_mode_value(nu, k)) == pytest.approx(want, rel=1e-13)
+            assert math.exp(tdist.log_mode_value(nu, k)) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_gaussian_limit_gap_shrinks(self):
         for k in (1, 3, 4):
@@ -308,20 +308,20 @@ class TestLogDensity:
     @pytest.mark.parametrize("nu,k,t,want", DENSITY_E1_REFS)
     def test_frozen_references_along_first_axis(self, nu, k, t, want):
         point = [t] + [0.0] * (k - 1)
-        assert math.exp(tdist.log_density(nu, k, point)) == pytest.approx(want, rel=1e-13)
+        assert math.exp(tdist.log_density(nu, k, point)) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_origin_matches_mode_value(self):
         for nu in (0.7, 1.0, 4.0, 50.0, math.inf):
             for k in (1, 2, 5):
                 got = math.exp(tdist.log_density(nu, k, [0.0] * k))
-                assert got == pytest.approx(tdist.mode_value(nu, k), rel=1e-14)
+                assert got == pytest.approx(tdist.mode_value(nu, k), rel=1e-14, abs=0.0)
 
     def test_radial_symmetry(self):
         a = tdist.log_density(3.0, 2, [0.6, 0.8])
         b = tdist.log_density(3.0, 2, [1.0, 0.0])
         c = tdist.log_density(3.0, 2, [-0.8, 0.6])
-        assert a == pytest.approx(b, rel=1e-15)
-        assert a == pytest.approx(c, rel=1e-15)
+        assert a == pytest.approx(b, rel=1e-15, abs=0.0)
+        assert a == pytest.approx(c, rel=1e-15, abs=0.0)
 
     def test_decreasing_in_radius(self):
         vals = [tdist.log_density(2.5, 3, [r, 0.0, 0.0]) for r in (0.0, 0.5, 1.0, 2.0, 8.0)]
@@ -341,7 +341,7 @@ class TestLogDensity:
         ],
     )
     def test_subnormal_tail_weight(self, nu, k, point, want):
-        assert tdist.log_density(nu, k, point) == pytest.approx(want, rel=1e-15)
+        assert tdist.log_density(nu, k, point) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize(
         "nu,k,point",
@@ -384,7 +384,7 @@ class TestLogDensity:
 class TestRadialMoment:
     @pytest.mark.parametrize("nu,k,m,want", RADIAL_MOMENT_REFS)
     def test_frozen_references(self, nu, k, m, want):
-        assert tdist.radial_moment(nu, k, m) == pytest.approx(want, rel=1e-13)
+        assert tdist.radial_moment(nu, k, m) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_order_zero(self):
         assert tdist.radial_moment(3.0, 4, 0.0) == 1.0
@@ -398,7 +398,7 @@ class TestRadialMoment:
         for nu in (2.5, 5.0, 40.0, 1e12):
             for k in (1, 3, 7):
                 want = k * nu / (nu - 2.0)
-                assert tdist.radial_moment(nu, k, 2.0) == pytest.approx(want, rel=1e-13)
+                assert tdist.radial_moment(nu, k, 2.0) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_existence_boundary(self):
         with pytest.raises(errors.MomentExistenceError):
@@ -426,8 +426,8 @@ class TestRadialMoment:
         # as nu -> 0, taken from nu and m themselves
         nu, m = 2.5e-323, 2e-323
         assert m < nu and 0.5 * m == 0.5 * nu
-        assert tdist.radial_moment(nu, 1, m) == pytest.approx(5.0, rel=1e-15)
-        assert tdist.moment_ratio(nu, 3.0, 1, m) == pytest.approx(5.0, rel=1e-15)
+        assert tdist.radial_moment(nu, 1, m) == pytest.approx(5.0, rel=1e-15, abs=0.0)
+        assert tdist.moment_ratio(nu, 3.0, 1, m) == pytest.approx(5.0, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 1001])
     def test_subnormal_tail_weight_against_mpmath(self, n):
@@ -438,8 +438,8 @@ class TestRadialMoment:
                 with mp.workdps(60):
                     want = mp.exp(log_moment_nu(nu, m) + mp.loggamma((mp.mpf(k) + m) / 2) - mp.loggamma(mp.mpf(k) / 2))
                     ratio = want / mp.exp(log_moment_nu(3.0, m) + mp.loggamma((mp.mpf(k) + m) / 2) - mp.loggamma(mp.mpf(k) / 2))
-                assert tdist.radial_moment(nu, k, m) == pytest.approx(float(want), rel=1e-15), (n, m, k)
-                assert tdist.moment_ratio(nu, 3.0, k, m) == pytest.approx(float(ratio), rel=1e-15), (n, m, k)
+                assert tdist.radial_moment(nu, k, m) == pytest.approx(float(want), rel=1e-15, abs=0.0), (n, m, k)
+                assert tdist.moment_ratio(nu, 3.0, k, m) == pytest.approx(float(ratio), rel=1e-15, abs=0.0), (n, m, k)
 
     def test_bad_order(self):
         with pytest.raises(errors.DomainError):
@@ -456,10 +456,10 @@ class TestMomentRatio:
     def test_known_value(self):
         # Variance ratio (5/3) / (10/8) = 4/3, independent of dimension.
         for k in (1, 4, 10):
-            assert tdist.moment_ratio(5.0, 10.0, k, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-13)
+            assert tdist.moment_ratio(5.0, 10.0, k, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-13, abs=0.0)
         # the same variance ratio far out in the tail weight
         want = (1e12 / (1e12 - 2.0)) / (1e11 / (1e11 - 2.0))
-        assert tdist.moment_ratio(1e12, 1e11, 3, 2.0) == pytest.approx(want, rel=1e-13)
+        assert tdist.moment_ratio(1e12, 1e11, 3, 2.0) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_against_mpmath(self):
         rng = random.Random(43)
@@ -484,12 +484,12 @@ class TestMomentRatio:
         ]
         for nu1, nu2, k, m in cases:
             direct = tdist.radial_moment(nu1, k, m) / tdist.radial_moment(nu2, k, m)
-            assert tdist.moment_ratio(nu1, nu2, k, m) == pytest.approx(direct, rel=1e-12)
+            assert tdist.moment_ratio(nu1, nu2, k, m) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_reciprocal_pair(self):
         a = tdist.moment_ratio(5.0, 9.0, 2, 3.0)
         b = tdist.moment_ratio(9.0, 5.0, 2, 3.0)
-        assert a * b == pytest.approx(1.0, rel=1e-13)
+        assert a * b == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
     def test_existence(self):
         with pytest.raises(errors.MomentExistenceError):
@@ -507,13 +507,13 @@ class TestKurtosisRatio:
 
     def test_known_value(self):
         # ((5-2)/(5-4)) / ((6-2)/(6-4)) = 3/2.
-        assert tdist.kurtosis_ratio(5.0, 6.0, 1) == pytest.approx(1.5, rel=1e-13)
+        assert tdist.kurtosis_ratio(5.0, 6.0, 1) == pytest.approx(1.5, rel=1e-13, abs=0.0)
 
     def test_matches_moment_quotient(self):
         for nu1, nu2, k in [(5.0, 6.0, 2), (4.5, 30.0, 3), (7.0, math.inf, 1)]:
             beta1 = tdist.radial_moment(nu1, k, 4.0) / tdist.radial_moment(nu1, k, 2.0) ** 2
             beta2 = tdist.radial_moment(nu2, k, 4.0) / tdist.radial_moment(nu2, k, 2.0) ** 2
-            assert tdist.kurtosis_ratio(nu1, nu2, k) == pytest.approx(beta1 / beta2, rel=1e-12)
+            assert tdist.kurtosis_ratio(nu1, nu2, k) == pytest.approx(beta1 / beta2, rel=1e-12, abs=0.0)
 
     def test_gaussian_pair(self):
         assert tdist.kurtosis_ratio(math.inf, math.inf, 3) == 1.0
