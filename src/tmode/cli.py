@@ -271,8 +271,7 @@ def cmd_verify(k_max, grid_text, points):
     else:
         grid = monotone.default_nu_grid(points=monotone.DEFAULT_GRID_POINTS if points is None else points)
     rows, problems = [], []
-    for k in range(1, k_max + 1):
-        row, failures = monotone.verify_dimension(k, grid)
+    for row, failures in monotone.verify_dimensions(k_max, grid):
         rows.append(row)
         problems += [f"violation: {line}" for line in failures]
     return list(monotone.VERIFY_COLUMNS), rows, problems

@@ -15,6 +15,15 @@ a central finite difference of the log mode value, and exposes the
 even-dimension product form plus the odd-dimension induction step used
 to establish the pattern analytically.
 
+verify_dimensions checks k = 1..K in one walk over each grid point, per
+block of dimensions: the derivative sums keep their 1 + nu/j, the
+log-gamma sums behind ln c at nu +/- h (and at nu for the product check)
+keep their log1p terms and gain one per k, and the induction step's sum
+for k + 2 is the next odd k's. math.fsum is correctly rounded, so a sum
+of kept terms has the bits of the same terms formed afresh, and every
+row equals verify_dimension's, which with classify_monotonicity is the
+same walk for a single k.
+
 A mixed sign pattern would contradict the proven classification, so it
 raises MonotonicityViolationError instead of being folded into a report;
 that error firing means a numerical defect, not new mathematics.
@@ -24,11 +33,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, MonotonicityViolationError
-from .specfun import _HALF_SHIFT, _NORMAL_MIN, _RATIO_SERIES_MIN, _real, _require_count, _require_positive
-from .tdist import _LN_2PI, _log_ratio_nu, check_dim, check_dof, log_mode_value, mode_value
+from .specfun import _HALF_SHIFT, _MAX_STEPS, _NORMAL_MIN, _RATIO_SERIES_MIN, _real, _require_count, _require_positive
+from .tdist import _LN_2PI, _exp, _log_ratio_values, check_dim, check_dof
 
 __all__ = [
     "DEFAULT_GRID_RANGE",
@@ -46,6 +56,7 @@ __all__ = [
     "PRODUCT_RTOL",
     "VERIFY_COLUMNS",
     "verify_dimension",
+    "verify_dimensions",
 ]
 
 DEFAULT_GRID_RANGE = (0.01, 1e4)
@@ -97,9 +108,12 @@ def default_nu_grid(
     return (lo, *(10.0 ** (llo + i * (lhi - llo) / (points - 1)) for i in range(1, points - 1)), hi)
 
 
-def _scaled_derivative_sum(nu: float, k: int) -> float:
-    # nu (nu + k) L(k) for finite nu: L(k) is L(2) = 0, or L(1) for odd k, plus
-    # the steps -2j/(nu (nu+j)) for j = k-2, k-4, ..., each scaled to -2j (nu+k)/(nu+j)
+def _scaled_derivative_sum(nu: float, k: int, dens: list[float] | None = None) -> float:
+    # nu (nu + k) L(k) for finite nu: L(k) is L(2) = 0, or L(1) for odd k, plus the steps
+    # -2j/(nu (nu+j)) for j = k-2, k-4, ..., each scaled to -2j (nu+k)/(nu+j) = -2 c / (1 + nu/j).
+    # A caller at one nu for several k passes dens, the 1 + nu/j of k's parity kept so far,
+    # which this call grows to j = k - 2; fsum is correctly rounded, so kept and fresh
+    # terms give the same bits
     c = nu + k
     line = 0.0
     if k % 2:
@@ -121,7 +135,10 @@ def _scaled_derivative_sum(nu: float, k: int) -> float:
         line = math.fsum(parts)
     if k < 3:
         return line
-    return line - 2.0 * math.fsum(c / (1.0 + nu / j) for j in range(2 - k % 2, k - 1, 2))
+    if dens is None:
+        return line - 2.0 * math.fsum(c / (1.0 + nu / j) for j in range(2 - k % 2, k - 1, 2))
+    dens += [1.0 + nu / j for j in range(2 * len(dens) + 2 - k % 2, k - 1, 2)]
+    return line - 2.0 * math.fsum(c / q for q in dens)
 
 
 def dlog_mode_value(nu, k: int) -> float:
@@ -175,18 +192,18 @@ def mode_value_even_product(nu, k: int) -> float:
         return math.inf
 
 
-def _product_rel(nu: float, k: int) -> float:
-    # |c - p| / c between mode_value and the even-k product form at a finite nu.
-    # Where either leaves the normal doubles (c past 1.8e308 at tiny nu, or
-    # under 2.2e-308 at large k) it is |expm1(ln p - ln c)|, with each factor's
-    # log formed without overflow: ln(1/2 + j/nu) = ln j - ln nu + log1p(nu/(2j))
-    c = mode_value(nu, k)
+def _product_rel(nu: float, k: int, log_c: float) -> float:
+    # |c - p| / c between the mode value c = exp(log_c), log_c = ln c(nu, k), and the
+    # even-k product form at a finite nu. Where either leaves the normal doubles (c past
+    # 1.8e308 at tiny nu, or under 2.2e-308 at large k) it is |expm1(ln p - ln c)|, with
+    # each factor's log formed without overflow: ln(1/2 + j/nu) = ln j - ln nu + log1p(nu/(2j))
+    c = _exp(log_c)
     p = mode_value_even_product(nu, k)
     if _NORMAL_MIN <= c < math.inf and _NORMAL_MIN <= p < math.inf:
         return abs(c - p) / c
     log_nu = math.log(nu)
     log_p = math.fsum(math.log(j) - log_nu + math.log1p(0.5 * nu / j) for j in range(1, k // 2))
-    return abs(math.expm1(log_p + _LOG_HALF - 0.5 * k * _LOG_PI - log_mode_value(nu, k)))
+    return abs(math.expm1(log_p + _LOG_HALF - 0.5 * k * _LOG_PI - log_c))
 
 
 class MonotonicityReport(NamedTuple):
@@ -223,49 +240,102 @@ def classify_monotonicity(k: int, grid: Sequence[float] | None = None) -> Monoto
     """
     k = check_dim(k)
     vals = default_nu_grid() if grid is None else _validate_grid(grid)
-    return _sweep(k, vals)[0]
+    ((_, report, _),) = _sweeps(range(k, k + 1), vals, aux=False)
+    if isinstance(report, MonotonicityViolationError):
+        raise report
+    return report
 
 
-def _sweep(k: int, vals: tuple[float, ...]) -> tuple[MonotonicityReport, array]:
-    # classify_monotonicity on a checked grid, also returning for reuse the scaled
-    # derivative sums as packed doubles, so a classification holds no float per point
+# the sweep takes the dimensions in blocks that keep at most this many derivative
+# sums, and at least one dimension, so what it holds at once is bounded whatever
+# the number of dimensions
+_BLOCK_SUMS = 2**14
+
+
+def _sweeps(ks: range, vals: tuple[float, ...], aux: bool) -> Iterator[tuple]:
+    # (k, its MonotonicityReport or MonotonicityViolationError, verdict) per k of ks, in
+    # order; with aux the verdict is the independent route's: the worst product-form gap
+    # for even k, the first induction failure (None if none) for odd k >= 3
+    size = max(1, _BLOCK_SUMS // len(vals))
+    for first in range(ks.start, ks.stop, size):
+        yield from _sweep(range(first, min(first + size, ks.stop)), vals, aux)
+
+
+def _sweep(ks: range, vals: tuple[float, ...], aux: bool) -> list[tuple]:
+    # _sweeps for one block of dimensions, in two walks over the grid. The first makes
+    # the scaled derivative sums of every k at each point, packed as doubles; their signs
+    # classify. The second makes the central differences of ln c and the independent
+    # route. Within a walk what does not depend on k is made once per point: the 1 + nu/j
+    # of the derivative sums, the log-gamma sums at nu +/- h (and at nu for ln c), which
+    # gain one term per k, and the induction step's S(nu, k + 2), read from the first walk
+    n = len(ks)
+    # the 1 + nu/j of even and of odd j are kept for the next k, up to _MAX_STEPS of them
+    # as the log-gamma sums' terms are; a single k makes them afresh
+    keep = n > 1 and ks[-1] // 2 <= _MAX_STEPS
     sums = array("d")
     for nu in vals:
-        sums.append(_scaled_derivative_sum(nu, k))
-    signs = {(s > 0.0) - (s < 0.0) for s in sums}
-    if {1, -1} <= signs:
-        raise MonotonicityViolationError(
-            f"mixed derivative signs for k={k}; the classification is ill-defined",
-            witnesses=[(nu, 0.5 * s / nu / (nu + k)) for nu, s in zip(vals, sums) if s],
-        )
-    # without mixed signs, their sum is the one nonzero sign, or 0
-    sign = sum(signs)
-    classification = ("constant", "increasing", "decreasing")[sign]
+        dens = ([], []) if keep else (None, None)
+        for k in ks:
+            sums.append(_scaled_derivative_sum(nu, k, dens[k % 2]))
+    signs, found = [], [None] * n
+    for i, k in enumerate(ks):
+        column = {(s > 0.0) - (s < 0.0) for s in islice(sums, i, None, n)}
+        if {1, -1} <= column:
+            found[i] = MonotonicityViolationError(
+                f"mixed derivative signs for k={k}; the classification is ill-defined",
+                witnesses=[(nu, 0.5 * s / nu / (nu + k)) for nu, s in zip(vals, islice(sums, i, None, n)) if s],
+            )
+        # without mixed signs, their sum is the one nonzero sign, or 0
+        signs.append(sum(column))
 
     # the central difference of ln c checks the derivative and, where it resolves,
     # the classified sign; a point whose step underflows to 0 has no difference
-    max_residual = 0.0
-    witnesses = []
-    # log_mode_value(nu +/- h, k) less its checks: k and the grid are checked, and
-    # 0 < h < nu; _log_ratio_nu takes nu + h = inf and a subnormal nu - h
-    pi_term = 0.5 * k * _LN_2PI
-    for nu, s in zip(vals, sums):
+    residuals = [0.0] * n
+    moves = [[] for _ in ks]
+    verdicts = [None] * n
+    pi_terms = [0.5 * k * _LN_2PI for k in ks]
+    evens = ks[ks[0] % 2 :: 2]
+    for p, nu in enumerate(vals):
         h = nu * FD_STEP_SCALE
-        if not h:
-            continue
-        d = 0.5 * s / nu / (nu + k)
-        fd = ((_log_ratio_nu(nu + h, k) - pi_term) - (_log_ratio_nu(nu - h, k) - pi_term)) / (2.0 * h)
-        # where both saturate to +/-inf (below about nu = 1e-308) there is no residual
-        if math.isfinite(d) and math.isfinite(fd):
-            max_residual = max(max_residual, abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d)))
-        if nu <= _VALUE_CHECK_NU_MAX and (fd > 0.0) - (fd < 0.0) != sign:
-            witnesses.append((nu, fd))
-    if witnesses:
-        raise MonotonicityViolationError(
-            f"mode values move against the '{classification}' classification for k={k}",
-            witnesses=witnesses,
-        )
-    return MonotonicityReport(classification, max_residual), sums
+        if h:
+            # log_mode_value(nu +/- h, k) less its checks: k and the grid are checked, and
+            # 0 < h < nu; _log_ratio_nu takes nu + h = inf and a subnormal nu - h
+            ups, downs = _log_ratio_values(nu + h, ks), _log_ratio_values(nu - h, ks)
+        if aux:
+            centers = iter(_log_ratio_values(nu, evens) if evens else ())
+        for i, k in enumerate(ks):
+            s = sums[p * n + i]
+            if h and not found[i]:
+                d = 0.5 * s / nu / (nu + k)
+                fd = ((ups[i] - pi_terms[i]) - (downs[i] - pi_terms[i])) / (2.0 * h)
+                # where both saturate to +/-inf (below about nu = 1e-308) there is no residual
+                if math.isfinite(d) and math.isfinite(fd):
+                    residuals[i] = max(residuals[i], abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d)))
+                if nu <= _VALUE_CHECK_NU_MAX and (fd > 0.0) - (fd < 0.0) != signs[i]:
+                    moves[i].append((nu, fd))
+            if not aux:
+                continue
+            if k % 2 == 0:
+                rel = _product_rel(nu, k, next(centers) - (0.5 * k) * _LN_2PI)
+                verdicts[i] = rel if verdicts[i] is None else max(verdicts[i], rel)
+            elif k >= 3 and verdicts[i] is None:
+                ahead = sums[p * n + i + 2] if i + 2 < n else _scaled_derivative_sum(nu, k + 2)
+                try:
+                    _induction_step(nu, k, s, ahead)
+                except MonotonicityViolationError as exc:
+                    verdicts[i] = exc
+
+    out = []
+    for i, k in enumerate(ks):
+        classification = ("constant", "increasing", "decreasing")[signs[i]]
+        report = found[i] or MonotonicityReport(classification, residuals[i])
+        if not found[i] and moves[i]:
+            report = MonotonicityViolationError(
+                f"mode values move against the '{classification}' classification for k={k}",
+                witnesses=moves[i],
+            )
+        out.append((k, report, verdicts[i]))
+    return out
 
 
 def induction_step_check(nu, k: int) -> tuple[float, float]:
@@ -287,13 +357,14 @@ def induction_step_check(nu, k: int) -> tuple[float, float]:
     k = check_dim(k)
     if k < 3 or k % 2 == 0:
         raise DomainError(f"the induction step applies to odd k >= 3, got k={k}")
-    return _induction_step(nu, k, _scaled_derivative_sum(nu, k))
+    return _induction_step(nu, k, _scaled_derivative_sum(nu, k), _scaled_derivative_sum(nu, k + 2))
 
 
-def _induction_step(nu: float, k: int, scaled_k: float) -> tuple[float, float]:
-    # induction_step_check for checked arguments, given nu (nu + k) lhs(k)
+def _induction_step(nu: float, k: int, scaled_k: float, scaled_next: float) -> tuple[float, float]:
+    # induction_step_check for checked arguments, given nu (nu + k) lhs(k) and
+    # nu (nu + k + 2) lhs(k + 2)
     lhs_k = scaled_k / nu / (nu + k)
-    lhs_next = _scaled_derivative_sum(nu, k + 2) / nu / (nu + k + 2)
+    lhs_next = scaled_next / nu / (nu + k + 2)
     if lhs_next > lhs_k + INDUCTION_SLACK:
         raise MonotonicityViolationError(
             f"induction chain increased at nu={nu}, k={k}: {lhs_next} > {lhs_k}",
@@ -316,29 +387,41 @@ def verify_dimension(k: int, grid: Sequence[float]) -> tuple[list, list[str]]:
     False).
     """
     k = check_dim(k)
-    grid = _validate_grid(grid)
-    expected = {1: "increasing", 2: "constant"}.get(k, "decreasing")
-    try:
-        report, sums = _sweep(k, grid)
-    except MonotonicityViolationError as exc:
-        return [k, expected, "violated", math.nan, "-", False], [f"k={k}: {exc}"]
-    failures = []
-    aux = "-"
-    if k % 2 == 0:
-        rel = max(_product_rel(nu, k) for nu in grid)
-        aux = f"product rel {rel:.2e}"
-    elif k >= 3:
-        aux = "induction"
-        try:
-            for nu, s in zip(grid, sums):
-                _induction_step(nu, k, s)
-        except MonotonicityViolationError as exc:
-            failures.append(f"k={k}: {exc}")
-    residual = report.max_derivative_residual
-    if report.classification != expected:
-        failures.append(f"k={k}: classified {report.classification}, expected {expected}")
-    if not residual <= FD_RESIDUAL_BOUND:
-        failures.append(f"k={k}: finite-difference residual {residual:.2e} exceeds {_FD_BOUND_TEXT}")
-    if k % 2 == 0 and not rel <= PRODUCT_RTOL:
-        failures.append(f"k={k}: product-form disagreement {aux}")
-    return [k, expected, report.classification, residual, aux, not failures], failures
+    return _verify(range(k, k + 1), _validate_grid(grid))[0]
+
+
+def verify_dimensions(k_max: int, grid: Sequence[float]) -> list[tuple[list, list[str]]]:
+    """verify_dimension for k = 1..k_max, in one walk over each grid point.
+
+    The rows and failures are those of verify_dimension(k, grid) for each
+    k, bit for bit; what does not depend on k is formed once per grid
+    point and block of dimensions instead of once per k.
+    """
+    k_max = check_dim(k_max)
+    return _verify(range(1, k_max + 1), _validate_grid(grid))
+
+
+def _verify(ks: range, vals: tuple[float, ...]) -> list[tuple[list, list[str]]]:
+    out = []
+    for k, report, verdict in _sweeps(ks, vals, aux=True):
+        expected = {1: "increasing", 2: "constant"}.get(k, "decreasing")
+        if isinstance(report, MonotonicityViolationError):
+            out.append(([k, expected, "violated", math.nan, "-", False], [f"k={k}: {report}"]))
+            continue
+        failures = []
+        aux = "-"
+        if k % 2 == 0:
+            aux = f"product rel {verdict:.2e}"
+        elif k >= 3:
+            aux = "induction"
+            if verdict is not None:
+                failures.append(f"k={k}: {verdict}")
+        residual = report.max_derivative_residual
+        if report.classification != expected:
+            failures.append(f"k={k}: classified {report.classification}, expected {expected}")
+        if not residual <= FD_RESIDUAL_BOUND:
+            failures.append(f"k={k}: finite-difference residual {residual:.2e} exceeds {_FD_BOUND_TEXT}")
+        if k % 2 == 0 and not verdict <= PRODUCT_RTOL:
+            failures.append(f"k={k}: product-form disagreement {aux}")
+        out.append(([k, expected, report.classification, residual, aux, not failures], failures))
+    return out

@@ -169,16 +169,21 @@ def _log_gamma_ratio(a: float, s: float) -> float:
         return (a + s - 0.5) * math.log1p(s / a) - s - s / (12.0 * a * (a + s))
     parts = [math.log1p((f + j) / a) for j in range(0 if f else 1, whole)]
     if f:
-        if a < _RATIO_SERIES_MIN:
-            parts.append(math.lgamma(a + f) - math.lgamma(a) - f * math.log(a))
-        else:
-            # terms beyond the first omitted one fall below 1e-17
-            terms = min(len(_RATIO_ROWS), 1 + math.ceil(17.0 / math.log10(a)))
-            t = 0.0
-            for c in reversed(_HALF_SHIFT[:terms] if f == 0.5 else _ratio_coefficients(f, terms)):
-                t = (t + c) / a
-            parts.append(t)
+        parts.append(_fraction_term(a, f))
     return math.fsum(parts)
+
+
+def _fraction_term(a: float, f: float) -> float:
+    # Q(a, f) for 0 < f < 1 and an a > 0 on _log_gamma_ratio's main branch: the term
+    # its whole steps log1p((f + j) / a) are added to
+    if a < _RATIO_SERIES_MIN:
+        return math.lgamma(a + f) - math.lgamma(a) - f * math.log(a)
+    # terms beyond the first omitted one fall below 1e-17
+    terms = min(len(_RATIO_ROWS), 1 + math.ceil(17.0 / math.log10(a)))
+    t = 0.0
+    for c in reversed(_HALF_SHIFT[:terms] if f == 0.5 else _ratio_coefficients(f, terms)):
+        t = (t + c) / a
+    return t
 
 
 def _inverse_power(c: float, z: float, k: int) -> float:

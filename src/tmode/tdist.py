@@ -32,7 +32,16 @@ import operator
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, MomentExistenceError
-from .specfun import _NORMAL_MIN, _NOT_REAL, _log_gamma_ratio, _real, _require_count, _require_nonnegative
+from .specfun import (
+    _MAX_STEPS,
+    _NORMAL_MIN,
+    _NOT_REAL,
+    _fraction_term,
+    _log_gamma_ratio,
+    _real,
+    _require_count,
+    _require_nonnegative,
+)
 
 __all__ = [
     "GAUSSIAN_DOF",
@@ -99,6 +108,34 @@ def _log_ratio_nu(nu: float, two_s: float) -> float:
             return math.lgamma(s) + (1.0 - s) * (math.log(nu) - math.log(2.0))
         return math.log(nu / (nu + two_s)) if two_s else 0.0
     return _log_gamma_ratio(0.5 * nu, 0.5 * two_s)
+
+
+def _log_ratio_values(nu: float, ks: range) -> list[float]:
+    # [_log_ratio_nu(nu, k) for k in ks], ks increasing, with its bits. On
+    # _log_gamma_ratio's main branch Q(a, k/2), a = nu/2, is the fsum of log1p((f + j) / a)
+    # for j < k // 2, from j = 1 for even k (f = 0) and from j = 0 plus Q(a, 1/2) for odd k
+    # (f = 1/2). Each parity keeps its terms, so a step in k adds one; fsum is correctly
+    # rounded, so the kept terms sum to the bits of the terms made afresh. Off that branch
+    # for the largest k (the Gaussian limit, a subnormal half nu, more than _MAX_STEPS whole
+    # steps, or (k/2) / a past the double range) each k takes _log_ratio_nu
+    a = 0.5 * nu
+    if math.isinf(nu) or a <= _NORMAL_MIN or ks[-1] // 2 > _MAX_STEPS or 0.5 * ks[-1] / a == math.inf:
+        return [_log_ratio_nu(nu, k) for k in ks]
+    values = []
+    even, odd = [], []
+    for k in ks:
+        whole = k // 2
+        if k % 2:
+            if not odd:
+                odd.append(_fraction_term(a, 0.5))
+            for j in range(len(odd) - 1, whole):
+                odd.append(math.log1p((0.5 + j) / a))
+            values.append(math.fsum(odd))
+        else:
+            for j in range(len(even) + 1, whole):
+                even.append(math.log1p((0.0 + j) / a))
+            values.append(math.fsum(even))
+    return values
 
 
 def log_mode_value(nu, k: int) -> float:

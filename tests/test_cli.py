@@ -241,13 +241,13 @@ class TestVerify:
         ]
 
 
-def _broken_induction(nu, k, scaled_k):
+def _broken_induction(nu, k, scaled_k, scaled_next):
     raise MonotonicityViolationError(f"induction chain increased at nu={nu}, k={k}", witnesses=[(nu, 1.0)])
 
 
-def _misclassify_k3(k, grid, sweep=monotone._sweep):
-    report, *values = sweep(k, grid)
-    return (report._replace(classification="increasing") if k == 3 else report, *values)
+def _misclassify_k3(ks, vals, aux, sweeps=monotone._sweeps):
+    for k, report, verdict in sweeps(ks, vals, aux):
+        yield k, (report._replace(classification="increasing") if k == 3 else report), verdict
 
 
 class TestExitOne:
@@ -256,10 +256,10 @@ class TestExitOne:
     @pytest.mark.parametrize(
         "module, name, fake, args, first_problem",
         [
-            (monotone, "_scaled_derivative_sum", lambda nu, k: 1.0 if nu < 1.0 else -1.0, ["verify", "--k-max", "3", "--points", "10"], "violation: k=1: mixed"),
+            (monotone, "_scaled_derivative_sum", lambda nu, k, dens=None: 1.0 if nu < 1.0 else -1.0, ["verify", "--k-max", "3", "--points", "10"], "violation: k=1: mixed"),
             (monotone, "mode_value_even_product", lambda nu, k: 1.0, ["verify", "--k-max", "4", "--points", "10"], "violation: k=2: product-form"),
             (monotone, "_induction_step", _broken_induction, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: induction"),
-            (monotone, "_sweep", _misclassify_k3, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: classified"),
+            (monotone, "_sweeps", _misclassify_k3, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: classified"),
             (ballprob, "format_published", lambda value, k: "0", ["table1"], "mismatch at nu=1.0, k=1:"),
         ],
         ids=["mixed-signs", "product", "induction", "classified", "table1"],
@@ -300,6 +300,17 @@ class TestFailureKinds:
         lines = result.stderr.splitlines()
         assert lines[0].startswith(f"usage: tmode {args[0]} ")
         assert lines[-1] == f"tmode {args[0]}: error: dimension must be <= 2**53, got a {k.bit_length()}-bit integer"
+        assert sum("error" in line for line in lines) == 1
+
+    def test_verify_dimensions_past_2_to_the_53(self):
+        # checked before the walk, which would otherwise run until interrupted
+        k = 10**20
+        result = invoke(["verify", "--k-max", str(k), "--points", "3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith("usage: tmode verify ")
+        assert lines[-1] == f"tmode verify: error: dimension must be <= 2**53, got a {k.bit_length()}-bit integer"
         assert sum("error" in line for line in lines) == 1
 
     def test_quadrature_nonconvergence_is_one_line_error(self, monkeypatch):

@@ -175,6 +175,33 @@ class TestScaledDerivativeSum:
         assert value.hex() == loop_scaled_derivative_sum(2.0, k).hex()
 
 
+class TestKeptDenominators:
+    """The derivative sums of a walk over k, which keep the 1 + nu/j, have the loop's bits."""
+
+    def test_walk_over_k_matches_the_reference(self):
+        # nu log-uniform on [1e-300, 1e300], k = 1..60 in one walk per nu as verify makes it,
+        # and from k = 37 on, as a later block starts
+        rng = random.Random(60)
+        nus = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(3000)] + [5e-324, 28.0, 29.0, 1.7e308]
+        wrong = []
+        for nu in nus:
+            for ks in (range(1, 61), range(37, 61)):
+                dens = ([], [])
+                for k in ks:
+                    got = monotone._scaled_derivative_sum(nu, k, dens[k % 2])
+                    if got.hex() != loop_scaled_derivative_sum(nu, k).hex():
+                        wrong.append((nu, k))
+        assert wrong == []
+
+    def test_induction_step_reads_the_next_sum(self):
+        # the odd walk takes S(nu, k + 2) for the induction step and keeps it for k + 2
+        for nu in (0.01, 3.7, 29.0, 1e5):
+            dens = []
+            for k in range(3, 40, 2):
+                assert monotone._scaled_derivative_sum(nu, k, dens) == loop_scaled_derivative_sum(nu, k)
+                assert monotone._scaled_derivative_sum(nu, k + 2, dens) == loop_scaled_derivative_sum(nu, k + 2)
+
+
 def loop_even_product(nu: float, k: int) -> float:
     """The previous mode_value_even_product at finite nu, kept as the reference for its bits."""
     value = 0.5 * math.pi ** (-0.5 * k)
@@ -245,7 +272,7 @@ class TestClassification:
         # of the scaled derivative sum
         grid = monotone.default_nu_grid()
         noise = {grid[10]: 1e-14, grid[100]: -1e-14}
-        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k: noise.get(nu, 0.0))
+        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k, dens=None: noise.get(nu, 0.0))
         return noise
 
     def test_mixed_signs_raise(self, derivative_noise):
@@ -265,18 +292,20 @@ class TestClassification:
 
     def test_values_moving_against_the_classification_raise(self, monkeypatch):
         # flat log mode values under the decreasing derivative of k = 3
-        monkeypatch.setattr(monotone, "_log_ratio_nu", lambda nu, s: 1.0)
+        monkeypatch.setattr(monotone, "_log_ratio_values", lambda nu, ks: [1.0] * len(ks))
         grid = monotone.default_nu_grid(0.1, 100.0, 12)
         with pytest.raises(errors.MonotonicityViolationError, match="move against the 'decreasing'") as info:
             monotone.classify_monotonicity(3, grid)
         assert info.value.witnesses == [(nu, 0.0) for nu in grid]
 
     def test_value_check_computes_each_mode_value_once(self, monkeypatch):
-        # the value check reads the central differences of log_mode_value, so no mode_value at all
+        # the value check reads the central differences of ln c, so a classification forms
+        # no mode value: only verify_dimension's product check does
         calls = []
-        real = monotone.mode_value
-        monkeypatch.setattr(monotone, "mode_value", lambda nu, k: calls.append(nu) or real(nu, k))
+        real = monotone._product_rel
+        monkeypatch.setattr(monotone, "_product_rel", lambda nu, k, log_c: calls.append(nu) or real(nu, k, log_c))
         monotone.classify_monotonicity(3)
+        monotone.classify_monotonicity(4)
         assert calls == []
 
     @pytest.mark.parametrize("k, expected", [(1, "increasing"), (2, "constant"), (3, "decreasing")])
@@ -358,7 +387,7 @@ class TestInductionStep:
 
     def test_increase_raises(self, monkeypatch):
         # lhs(k) = k, given as the scaled sum nu (nu + k) lhs(k)
-        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k: k * nu * (nu + k))
+        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k, dens=None: k * nu * (nu + k))
         with pytest.raises(errors.MonotonicityViolationError, match="increased at nu=2.0, k=3: 5.0 > 3.0") as info:
             monotone.induction_step_check(2.0, 3)
         assert info.value.witnesses == [(2.0, 2.0)]
@@ -393,23 +422,25 @@ class TestVerifyDimension:
         # the grid is read once, so an iterator checks every point like the tuple
         checked = []
         induction = monotone._induction_step
-        monkeypatch.setattr(monotone, "_induction_step", lambda nu, k, s: checked.append(nu) or induction(nu, k, s))
+        monkeypatch.setattr(monotone, "_induction_step", lambda nu, k, *sums: checked.append(nu) or induction(nu, k, *sums))
         assert monotone.verify_dimension(k, iter(self.GRID)) == monotone.verify_dimension(k, self.GRID)
         assert checked == (list(self.GRID) * 2 if k == 3 else [])
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_computes_each_point_once(self, k, monkeypatch):
+        # one product check per point for even k, and each derivative sum once: for odd k
+        # the induction step adds S(nu, k + 2)
         values, sums = [], []
-        mode_value, scaled = monotone.mode_value, monotone._scaled_derivative_sum
-        monkeypatch.setattr(monotone, "mode_value", lambda nu, k: values.append((nu, k)) or mode_value(nu, k))
-        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k: sums.append((nu, k)) or scaled(nu, k))
+        product_rel, scaled = monotone._product_rel, monotone._scaled_derivative_sum
+        monkeypatch.setattr(monotone, "_product_rel", lambda nu, k, log_c: values.append((nu, k)) or product_rel(nu, k, log_c))
+        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k, *dens: sums.append((nu, k)) or scaled(nu, k, *dens))
         grid = monotone.default_nu_grid()
         monotone.verify_dimension(k, grid)
         assert len(values) == len(set(values)) == (len(grid) if k == 4 else 0)
         assert len(sums) == len(set(sums)) == len(grid) * (2 if k == 3 else 1)
 
     def test_mixed_signs_give_violated_row(self, monkeypatch):
-        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k: 1.0 if nu < 1.0 else -1.0)
+        monkeypatch.setattr(monotone, "_scaled_derivative_sum", lambda nu, k, dens=None: 1.0 if nu < 1.0 else -1.0)
         row, failures = monotone.verify_dimension(3, self.GRID)
         assert row[:3] == [3, "decreasing", "violated"]
         assert math.isnan(row[3])
@@ -435,6 +466,43 @@ class TestVerifyDimension:
         assert row[4].startswith("product rel ")
         assert 0.0 <= float(row[4].removeprefix("product rel ")) <= monotone.PRODUCT_RTOL
 
+    @pytest.mark.parametrize(
+        "k_max, grid",
+        [
+            (20, monotone.default_nu_grid()),
+            (70, monotone.default_nu_grid(0.01, 1e4, 30)),
+            (25, monotone.default_nu_grid(0.01, 1e4, 200)),
+            (12, monotone.default_nu_grid(1e-320, 1e300, 60)),
+            (7, [5e-324, 1e-320, 1.0]),
+        ],
+        ids=["default", "k70", "k25", "edges", "no-step"],
+    )
+    @pytest.mark.parametrize("block_sums", [monotone._BLOCK_SUMS, 200], ids=["one-block", "blocks"])
+    def test_walk_gives_each_dimension_row(self, k_max, grid, block_sums, monkeypatch):
+        # one walk over k = 1..k_max gives the rows and failures of verify_dimension per k,
+        # bit for bit (repr, as a violated row holds nan), also when it takes k in blocks
+        monkeypatch.setattr(monotone, "_BLOCK_SUMS", block_sums)
+        rows = monotone.verify_dimensions(k_max, grid)
+        assert len(rows) == k_max
+        for k, (row, failures) in enumerate(rows, 1):
+            want_row, want_failures = monotone.verify_dimension(k, grid)
+            assert (repr(row), failures) == (repr(want_row), want_failures)
+
+    def test_rows_match_the_public_routes(self):
+        # the route a checker rebuilds: the residual from classify_monotonicity, and the
+        # product text from mode_value and mode_value_even_product
+        grid = monotone.default_nu_grid()
+        for row, failures in monotone.verify_dimensions(20, grid):
+            k = row[0]
+            assert failures == []
+            assert row[3] == monotone.classify_monotonicity(k, grid).max_derivative_residual
+            if k % 2 == 0:
+                rel = max(
+                    abs(tdist.mode_value(nu, k) - monotone.mode_value_even_product(nu, k)) / tdist.mode_value(nu, k)
+                    for nu in grid
+                )
+                assert row[4] == f"product rel {rel:.2e}"
+
     def test_product_disagreement_fails(self, monkeypatch):
         even_product = monotone.mode_value_even_product
         monkeypatch.setattr(monotone, "mode_value_even_product", lambda nu, k: even_product(nu, k) * (1.0 + 1e-9))
@@ -453,8 +521,8 @@ class TestVerifyDimension:
         ids=["classification", "residual"],
     )
     def test_report_failures(self, monkeypatch, report, failure):
-        sweep = monotone._sweep
-        monkeypatch.setattr(monotone, "_sweep", lambda k, grid: (report, *sweep(k, grid)[1:]))
+        sweeps = monotone._sweeps
+        monkeypatch.setattr(monotone, "_sweeps", lambda ks, vals, aux: [(k, report, v) for k, _, v in sweeps(ks, vals, aux)])
         row, failures = monotone.verify_dimension(3, self.GRID)
         assert row == [3, "decreasing", *report, "induction", False]
         assert failures == [failure]

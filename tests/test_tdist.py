@@ -128,6 +128,7 @@ class TestValidation:
             lambda k: monotone.mode_value_even_product(2.0, k),
             lambda k: monotone.classify_monotonicity(k, [1.0, 2.0]),
             lambda k: monotone.induction_step_check(2.0, k + 1),
+            lambda k: monotone.verify_dimensions(k, [1.0, 2.0]),
             lambda k: mcoracle.sample_t(2.0, k, 1, 0),
         ],
         ids=[
@@ -144,6 +145,7 @@ class TestValidation:
             "mode_value_even_product",
             "classify_monotonicity",
             "induction_step_check",
+            "verify_dimensions",
             "sample_t",
         ],
     )
@@ -273,6 +275,45 @@ def loop_log_density(nu, k, point):
         return base - 0.5 * (nu + k) * (log_q + math.log1p(math.exp(-log_q)))
     q = sq / nu
     return base - 0.5 * (nu + k) * (math.log1p(q) if q < math.inf else math.log(sq) - math.log(nu))
+
+
+class TestLogRatioValues:
+    """The log-gamma sums that keep their terms from one k to the next have _log_ratio_nu's bits."""
+
+    @staticmethod
+    def assert_same_bits(nu, ks):
+        got = tdist._log_ratio_values(nu, ks)
+        assert [v.hex() for v in got] == [tdist._log_ratio_nu(nu, k).hex() for k in ks], (nu, ks)
+
+    def test_log_uniform_tail_weights(self):
+        # nu log-uniform on [1e-320, 1.7e308], with the walks verify makes: from k = 1, from
+        # a later block start, and over the even k alone
+        rng = random.Random(2028)
+        for _ in range(400):
+            nu = 10.0 ** rng.uniform(-320.0, 308.2)
+            for ks in (range(1, 61), range(37, 101), range(2, 61, 2)):
+                self.assert_same_bits(nu, ks)
+
+    @pytest.mark.parametrize(
+        "nu",
+        # subnormal halves, the first normal half, the series threshold a = 15, and nu + h = inf
+        [5e-324, 1e-320, 2.0**-1021, 2.0**-1020, 29.999999999999996, 30.0, 1e300, 1.7976931348623157e308, math.inf],
+    )
+    def test_edges(self, nu):
+        self.assert_same_bits(nu, range(1, 80))
+
+    @pytest.mark.parametrize("ks", [range(19_990, 20_010), range(20_001, 20_004)], ids=["across", "past"])
+    def test_past_the_whole_steps(self, ks):
+        # beyond _MAX_STEPS whole steps Q takes the lgamma or Stirling route for every k
+        for nu in (0.3, 7.0, 2e4, 1e9):
+            self.assert_same_bits(nu, ks)
+
+    def test_quotient_past_the_double_range(self):
+        # (k/2) / (nu/2) overflows for the largest k first: every k then takes _log_ratio_nu
+        nu = 2e-306
+        assert 0.5 * 40 / (0.5 * nu) < math.inf == 0.5 * 999 / (0.5 * nu)
+        for ks in (range(1, 41), range(1, 10**3)):
+            self.assert_same_bits(nu, ks)
 
 
 def outcome(fn, *args):
