@@ -15,14 +15,14 @@ a central finite difference of the log mode value, and exposes the
 even-dimension product form plus the odd-dimension induction step used
 to establish the pattern analytically.
 
-verify_dimensions checks k = 1..K in one walk over each grid point, per
-block of dimensions: the derivative sums keep their 1 + nu/j, the
+verify_dimensions checks k = 1..K in one sweep of the grid per block of
+dimensions, not one per k: the derivative sums keep their 1 + nu/j, the
 log-gamma sums behind ln c at nu +/- h (and at nu for the product check)
 keep their log1p terms and gain one per k, and the induction step's sum
 for k + 2 is the next odd k's. math.fsum is correctly rounded, so a sum
 of kept terms has the bits of the same terms formed afresh, and every
 row equals verify_dimension's, which with classify_monotonicity is the
-same walk for a single k.
+same sweep for a single k.
 
 A mixed sign pattern would contradict the proven classification, so it
 raises MonotonicityViolationError instead of being folded into a report;
@@ -293,8 +293,10 @@ def _sweep(ks: range, vals: tuple[float, ...], aux: bool) -> list[tuple]:
     residuals = [0.0] * n
     moves = [[] for _ in ks]
     verdicts = [None] * n
-    pi_terms = [0.5 * k * _LN_2PI for k in ks]
+    # per k: (k, ln (2 pi)^(k/2), the classified sign, the mixed-sign violation or None)
+    columns = [(k, 0.5 * k * _LN_2PI, sign, bad) for k, sign, bad in zip(ks, signs, found)]
     evens = ks[ks[0] % 2 :: 2]
+    read = iter(sums)
     for p, nu in enumerate(vals):
         h = nu * FD_STEP_SCALE
         if h:
@@ -303,20 +305,22 @@ def _sweep(ks: range, vals: tuple[float, ...], aux: bool) -> list[tuple]:
             ups, downs = _log_ratio_values(nu + h, ks), _log_ratio_values(nu - h, ks)
         if aux:
             centers = iter(_log_ratio_values(nu, evens) if evens else ())
-        for i, k in enumerate(ks):
-            s = sums[p * n + i]
-            if h and not found[i]:
+        for i, (k, pi_term, sign, bad) in enumerate(columns):
+            s = next(read)
+            if h and not bad:
                 d = 0.5 * s / nu / (nu + k)
-                fd = ((ups[i] - pi_terms[i]) - (downs[i] - pi_terms[i])) / (2.0 * h)
+                fd = ((ups[i] - pi_term) - (downs[i] - pi_term)) / (2.0 * h)
                 # where both saturate to +/-inf (below about nu = 1e-308) there is no residual
                 if math.isfinite(d) and math.isfinite(fd):
-                    residuals[i] = max(residuals[i], abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d)))
-                if nu <= _VALUE_CHECK_NU_MAX and (fd > 0.0) - (fd < 0.0) != signs[i]:
+                    residual = abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d))
+                    if residual > residuals[i]:
+                        residuals[i] = residual
+                if nu <= _VALUE_CHECK_NU_MAX and (fd > 0.0) - (fd < 0.0) != sign:
                     moves[i].append((nu, fd))
             if not aux:
                 continue
             if k % 2 == 0:
-                rel = _product_rel(nu, k, next(centers) - (0.5 * k) * _LN_2PI)
+                rel = _product_rel(nu, k, next(centers) - pi_term)
                 verdicts[i] = rel if verdicts[i] is None else max(verdicts[i], rel)
             elif k >= 3 and verdicts[i] is None:
                 ahead = sums[p * n + i + 2] if i + 2 < n else _scaled_derivative_sum(nu, k + 2)
@@ -391,7 +395,7 @@ def verify_dimension(k: int, grid: Sequence[float]) -> tuple[list, list[str]]:
 
 
 def verify_dimensions(k_max: int, grid: Sequence[float]) -> list[tuple[list, list[str]]]:
-    """verify_dimension for k = 1..k_max, in one walk over each grid point.
+    """verify_dimension for k = 1..k_max, in one sweep of the grid.
 
     The rows and failures are those of verify_dimension(k, grid) for each
     k, bit for bit; what does not depend on k is formed once per grid
