@@ -6,7 +6,9 @@ The script works on the repository it sits in. The parent is the
 committed tree of --parent and the change the committed tree of --change
 (default HEAD). Both are exported with `git archive` into a temporary
 directory (under $TMPDIR) that is removed afterwards, so only committed
-files are measured and nothing is added to `.git`.
+files are measured and nothing is added to `.git`. A --workload that
+BENCHMARK.json does not list exits 2 before anything is exported or
+written.
 
 The --seed values are used in turn, one per pair, and the run order flips
 after each round of seeds: pair i runs the parent first when i // (number
@@ -131,6 +133,9 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.workload not in workloads:
+        parser.error(f"--workload must be one of {', '.join(workloads)}, got {args.workload!r}")
     seconds = spec["run_seconds"]
     seeds = args.seed or [1]
     if subprocess.run(["git", "diff", "--quiet", args.parent, args.change, "--", *BENCHMARK_FILES], cwd=ROOT).returncode:

@@ -21,8 +21,9 @@ log-gamma sums behind ln c at nu +/- h (and at nu for the product check)
 keep their log1p terms and gain one per k, and the induction step's sum
 for k + 2 is the next odd k's. math.fsum is correctly rounded, so a sum
 of kept terms has the bits of the same terms formed afresh, and every
-row equals verify_dimension's, which with classify_monotonicity is the
-same sweep for a single k.
+row equals verify_dimension's, the same sweep for a single k.
+classify_monotonicity runs no independent route, so its one k walks the
+grid without the block's per-k bookkeeping; one helper judges both.
 
 A mixed sign pattern would contradict the proven classification, so it
 raises MonotonicityViolationError instead of being folded into a report;
@@ -31,9 +32,10 @@ that error firing means a numerical defect, not new mathematics.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
-from itertools import islice
+from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, MonotonicityViolationError
@@ -222,6 +224,12 @@ def _validate_grid(grid: Sequence[float]) -> tuple[float, ...]:
     return vals
 
 
+@functools.cache
+def _default_grid() -> tuple[float, ...]:
+    # default_nu_grid(), built once for every call that names no grid
+    return default_nu_grid()
+
+
 def classify_monotonicity(k: int, grid: Sequence[float] | None = None) -> MonotonicityReport:
     """Classify the sign of d/dnu ln c(nu, k) over a tail-weight grid.
 
@@ -239,7 +247,7 @@ def classify_monotonicity(k: int, grid: Sequence[float] | None = None) -> Monoto
     happens.
     """
     k = check_dim(k)
-    vals = default_nu_grid() if grid is None else _validate_grid(grid)
+    vals = _default_grid() if grid is None else _validate_grid(grid)
     ((_, report, _),) = _sweeps(range(k, k + 1), vals, aux=False)
     if isinstance(report, MonotonicityViolationError):
         raise report
@@ -256,18 +264,35 @@ def _sweeps(ks: range, vals: tuple[float, ...], aux: bool) -> Iterator[tuple]:
     # (k, its MonotonicityReport or MonotonicityViolationError, verdict) per k of ks, in
     # order; with aux the verdict is the independent route's: the worst product-form gap
     # for even k, the first induction failure (None if none) for odd k >= 3
+    if not aux:
+        # classify_monotonicity's single k: plain walks for the scaled derivative sums
+        # and the central differences of ln c, with none of the block's bookkeeping
+        for k in ks:
+            sums = array("d", map(_scaled_derivative_sum, vals, repeat(k)))
+            fds = array("d")
+            one, pi_term = (k,), 0.5 * k * _LN_2PI
+            for nu in vals:
+                h = nu * FD_STEP_SCALE
+                if h:
+                    (up,) = _log_ratio_values(nu + h, one)
+                    (down,) = _log_ratio_values(nu - h, one)
+                    fds.append(((up - pi_term) - (down - pi_term)) / (2.0 * h))
+                else:
+                    fds.append(math.nan)
+            yield k, _report(k, vals, sums, fds), None
+        return
     size = max(1, _BLOCK_SUMS // len(vals))
     for first in range(ks.start, ks.stop, size):
-        yield from _sweep(range(first, min(first + size, ks.stop)), vals, aux)
+        yield from _sweep(range(first, min(first + size, ks.stop)), vals)
 
 
-def _sweep(ks: range, vals: tuple[float, ...], aux: bool) -> list[tuple]:
-    # _sweeps for one block of dimensions, in two walks over the grid. The first makes
-    # the scaled derivative sums of every k at each point, packed as doubles; their signs
-    # classify. The second makes the central differences of ln c and the independent
-    # route. Within a walk what does not depend on k is made once per point: the 1 + nu/j
-    # of the derivative sums, the log-gamma sums at nu +/- h (and at nu for ln c), which
-    # gain one term per k, and the induction step's S(nu, k + 2), read from the first walk
+def _sweep(ks: range, vals: tuple[float, ...]) -> list[tuple]:
+    # _sweeps with aux for one block of dimensions, in two walks over the grid. The first
+    # makes the scaled derivative sums of every k at each point, packed as doubles; the
+    # second the central differences of ln c, packed alike, and the independent route.
+    # Within a walk what does not depend on k is made once per point: the 1 + nu/j of the
+    # derivative sums, the log-gamma sums at nu +/- h (and at nu for ln c), which gain one
+    # term per k, and the induction step's S(nu, k + 2), read from the first walk
     n = len(ks)
     # the 1 + nu/j of even and of odd j are kept for the next k, up to _MAX_STEPS of them
     # as the log-gamma sums' terms are; a single k makes them afresh
@@ -277,69 +302,65 @@ def _sweep(ks: range, vals: tuple[float, ...], aux: bool) -> list[tuple]:
         dens = ([], []) if keep else (None, None)
         for k in ks:
             sums.append(_scaled_derivative_sum(nu, k, dens[k % 2]))
-    signs, found = [], [None] * n
-    for i, k in enumerate(ks):
-        column = {(s > 0.0) - (s < 0.0) for s in islice(sums, i, None, n)}
-        if {1, -1} <= column:
-            found[i] = MonotonicityViolationError(
-                f"mixed derivative signs for k={k}; the classification is ill-defined",
-                witnesses=[(nu, 0.5 * s / nu / (nu + k)) for nu, s in zip(vals, islice(sums, i, None, n)) if s],
-            )
-        # without mixed signs, their sum is the one nonzero sign, or 0
-        signs.append(sum(column))
-
-    # the central difference of ln c checks the derivative and, where it resolves,
-    # the classified sign; a point whose step underflows to 0 has no difference
-    residuals = [0.0] * n
-    moves = [[] for _ in ks]
+    fds = array("d")
     verdicts = [None] * n
-    # per k: (k, ln (2 pi)^(k/2), the classified sign, the mixed-sign violation or None)
-    columns = [(k, 0.5 * k * _LN_2PI, sign, bad) for k, sign, bad in zip(ks, signs, found)]
+    pi_terms = [0.5 * k * _LN_2PI for k in ks]
     evens = ks[ks[0] % 2 :: 2]
-    read = iter(sums)
     for p, nu in enumerate(vals):
         h = nu * FD_STEP_SCALE
         if h:
             # log_mode_value(nu +/- h, k) less its checks: k and the grid are checked, and
             # 0 < h < nu; _log_ratio_nu takes nu + h = inf and a subnormal nu - h
             ups, downs = _log_ratio_values(nu + h, ks), _log_ratio_values(nu - h, ks)
-        if aux:
-            centers = iter(_log_ratio_values(nu, evens) if evens else ())
-        for i, (k, pi_term, sign, bad) in enumerate(columns):
-            s = next(read)
-            if h and not bad:
-                d = 0.5 * s / nu / (nu + k)
-                fd = ((ups[i] - pi_term) - (downs[i] - pi_term)) / (2.0 * h)
-                # where both saturate to +/-inf (below about nu = 1e-308) there is no residual
-                if math.isfinite(d) and math.isfinite(fd):
-                    residual = abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d))
-                    if residual > residuals[i]:
-                        residuals[i] = residual
-                if nu <= _VALUE_CHECK_NU_MAX and (fd > 0.0) - (fd < 0.0) != sign:
-                    moves[i].append((nu, fd))
-            if not aux:
-                continue
+            fds.extend([((up - t) - (down - t)) / (2.0 * h) for up, down, t in zip(ups, downs, pi_terms)])
+        else:
+            fds.extend(repeat(math.nan, n))
+        centers = iter(_log_ratio_values(nu, evens) if evens else ())
+        for i, k in enumerate(ks):
             if k % 2 == 0:
-                rel = _product_rel(nu, k, next(centers) - pi_term)
+                rel = _product_rel(nu, k, next(centers) - pi_terms[i])
                 verdicts[i] = rel if verdicts[i] is None else max(verdicts[i], rel)
             elif k >= 3 and verdicts[i] is None:
-                ahead = sums[p * n + i + 2] if i + 2 < n else _scaled_derivative_sum(nu, k + 2)
+                j = p * n + i
+                ahead = sums[j + 2] if i + 2 < n else _scaled_derivative_sum(nu, k + 2)
                 try:
-                    _induction_step(nu, k, s, ahead)
+                    _induction_step(nu, k, sums[j], ahead)
                 except MonotonicityViolationError as exc:
                     verdicts[i] = exc
+    return [(k, _report(k, vals, sums[i::n], fds[i::n]), verdicts[i]) for i, k in enumerate(ks)]
 
-    out = []
-    for i, k in enumerate(ks):
-        classification = ("constant", "increasing", "decreasing")[signs[i]]
-        report = found[i] or MonotonicityReport(classification, residuals[i])
-        if not found[i] and moves[i]:
-            report = MonotonicityViolationError(
-                f"mode values move against the '{classification}' classification for k={k}",
-                witnesses=moves[i],
-            )
-        out.append((k, report, verdicts[i]))
-    return out
+
+def _report(k: int, vals: tuple[float, ...], sums: array, fds: array) -> MonotonicityReport | MonotonicityViolationError:
+    # k's classification from the signs of its scaled derivative sums along the grid, then
+    # the central differences fds of ln c check the derivative and, where they resolve, the
+    # classified sign; fd is nan, and there is no difference, where the step underflows to 0
+    column = {(s > 0.0) - (s < 0.0) for s in sums}
+    if {1, -1} <= column:
+        return MonotonicityViolationError(
+            f"mixed derivative signs for k={k}; the classification is ill-defined",
+            witnesses=[(nu, 0.5 * s / nu / (nu + k)) for nu, s in zip(vals, sums) if s],
+        )
+    # without mixed signs, their sum is the one nonzero sign, or 0
+    sign = sum(column)
+    classification = ("constant", "increasing", "decreasing")[sign]
+    worst, moves = 0.0, []
+    for nu, s, fd in zip(vals, sums, fds):
+        if fd != fd:  # the one nan: a finite ln c at nu +/- h gives no other
+            continue
+        d = 0.5 * s / nu / (nu + k)
+        # where both saturate to +/-inf (below about nu = 1e-308) there is no residual
+        if math.isfinite(d) and math.isfinite(fd):
+            residual = abs(d - fd) / max(FD_RESIDUAL_FLOOR, abs(d))
+            if residual > worst:
+                worst = residual
+        if nu <= _VALUE_CHECK_NU_MAX and (fd > 0.0) - (fd < 0.0) != sign:
+            moves.append((nu, fd))
+    if moves:
+        return MonotonicityViolationError(
+            f"mode values move against the '{classification}' classification for k={k}",
+            witnesses=moves,
+        )
+    return MonotonicityReport(classification, worst)
 
 
 def induction_step_check(nu, k: int) -> tuple[float, float]:

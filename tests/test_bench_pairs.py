@@ -120,6 +120,19 @@ class TestArguments:
         assert info.value.code == 2
         assert f"--pairs must be at least 1, got {pairs}" in capsys.readouterr().err
 
+    def test_rejects_an_unknown_workload(self, monkeypatch, capsys, tmp_path):
+        # rejected before either tree is exported or any git command runs, and no report is written
+        (tmp_path / "BENCHMARK.json").write_text((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: pytest.fail("exported"))
+        monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: pytest.fail("ran a command"))
+        with pytest.raises(SystemExit) as info:
+            bench_pairs.main(["--workload", "nope", "--parent", "HEAD~1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workload must be one of closed-form, verify, monte-carlo, cli, got 'nope'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json"]
+
 
 class TestRunOrder:
     def test_each_seed_alternates(self, monkeypatch, tmp_path):

@@ -341,6 +341,32 @@ class TestClassification:
         assert report == monotone.classify_monotonicity(3, [1e-308, 1.0])
         assert monotone.classify_monotonicity(3, [3e-318, 1e-310, 1.0]).max_derivative_residual < 1e-8
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            monotone.default_nu_grid(),
+            monotone.default_nu_grid(1e-300, 100.0, 50),
+            monotone.default_nu_grid(3e-318, 1.0, 40),
+            (1e300, 1.7e308),
+            (5e-324, 1e-320, 1.0),
+        ],
+        ids=["default", "tiny-nu", "subnormal-nu", "huge-nu", "no-step"],
+    )
+    def test_residual_from_the_public_routes(self, grid):
+        # the worst |d - fd| / max(FD_RESIDUAL_FLOOR, |d|), bit for bit, with d from
+        # dlog_mode_value and fd the central difference of log_mode_value
+        for k in (1, 2, 3, 4, 5, 19, 20, 101, 500):
+            worst = 0.0
+            for nu in grid:
+                h = nu * monotone.FD_STEP_SCALE
+                if not h:
+                    continue
+                d = monotone.dlog_mode_value(nu, k)
+                fd = (tdist.log_mode_value(nu + h, k) - tdist.log_mode_value(nu - h, k)) / (2.0 * h)
+                if math.isfinite(d) and math.isfinite(fd):
+                    worst = max(worst, abs(d - fd) / max(monotone.FD_RESIDUAL_FLOOR, abs(d)))
+            assert monotone.classify_monotonicity(k, grid).max_derivative_residual.hex() == worst.hex(), k
+
     def test_grid_validation(self):
         with pytest.raises(errors.DomainError):
             monotone.classify_monotonicity(3, grid=[1.0])
@@ -374,6 +400,13 @@ class TestDefaultGrid:
             monotone.default_nu_grid(0.1, 1.0, "5")
         with pytest.raises(errors.DomainError):
             monotone.default_nu_grid(points=-10**5000)
+
+    def test_built_once_for_classification(self, monkeypatch):
+        # a classification without a grid uses default_nu_grid(), built no more than once
+        want = monotone.classify_monotonicity(3, monotone.default_nu_grid())
+        monotone.classify_monotonicity(3)
+        monkeypatch.setattr(monotone, "default_nu_grid", lambda *args: pytest.fail("rebuilt the default grid"))
+        assert monotone.classify_monotonicity(3) == want
 
 
 class TestInductionStep:
