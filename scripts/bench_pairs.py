@@ -7,8 +7,8 @@ committed tree of --parent and the change the committed tree of --change
 (default HEAD). Both are exported with `git archive` into a temporary
 directory (under $TMPDIR) that is removed afterwards, so only committed
 files are measured and nothing is added to `.git`. A --workload that
-BENCHMARK.json does not list exits 2 before anything is exported or
-written.
+BENCHMARK.json does not list, or a --parent or --change that names no
+commit, exits 2 before anything is exported or written.
 
 The --seed values are used in turn, one per pair, and the run order flips
 after each round of seeds: pair i runs the parent first when i // (number
@@ -138,9 +138,18 @@ def main(argv=None) -> int:
         parser.error(f"--workload must be one of {', '.join(workloads)}, got {args.workload!r}")
     seconds = spec["run_seconds"]
     seeds = args.seed or [1]
-    if subprocess.run(["git", "diff", "--quiet", args.parent, args.change, "--", *BENCHMARK_FILES], cwd=ROOT).returncode:
+    revs = {}
+    for side in ("parent", "change"):
+        rev = getattr(args, side)
+        try:
+            revs[side] = git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
+        except subprocess.CalledProcessError:
+            parser.error(f"--{side} {rev!r} names no commit")
+    # git diff --quiet exits 1 when the trees differ; any other failure is git's own
+    diff = subprocess.run(["git", "diff", "--quiet", revs["parent"], revs["change"], "--", *BENCHMARK_FILES], cwd=ROOT)
+    if diff.returncode == 1:
         parser.error("the benchmark files differ between the two sides; measure both with the same benchmark")
-    revs = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+    diff.check_returncode()
     pairs, failed_run = [], None
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         roots = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}

@@ -16,12 +16,13 @@ even-dimension product form plus the odd-dimension induction step used
 to establish the pattern analytically.
 
 verify_dimensions checks k = 1..K in one sweep of the grid per block of
-dimensions, not one per k: the derivative sums keep their 1 + nu/j, the
-log-gamma sums behind ln c at nu +/- h (and at nu for the product check)
-keep their log1p terms and gain one per k, and the induction step's sum
-for k + 2 is the next odd k's. math.fsum is correctly rounded, so a sum
-of kept terms has the bits of the same terms formed afresh, and every
-row equals verify_dimension's, the same sweep for a single k.
+dimensions, not one per k: the log-gamma sums behind ln c at nu +/- h
+(and at nu for the product check) are prefix sums of one list of log1p
+terms per parity, made once per point for the block's largest k, and
+the induction step's sum for k + 2 is the next odd k's. math.fsum is
+correctly rounded, so a prefix has the bits of the same terms formed
+afresh, and every row equals verify_dimension's, the same sweep for a
+single k.
 classify_monotonicity runs no independent route, so its one k walks the
 grid without the block's per-k bookkeeping; one helper judges both.
 
@@ -39,7 +40,7 @@ from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, MonotonicityViolationError
-from .specfun import _HALF_SHIFT, _MAX_STEPS, _NORMAL_MIN, _RATIO_SERIES_MIN, _real, _require_count, _require_positive
+from .specfun import _HALF_SHIFT, _NORMAL_MIN, _RATIO_SERIES_MIN, _real, _require_count, _require_positive
 from .tdist import _LN_2PI, _exp, _log_ratio_values, check_dim, check_dof
 
 __all__ = [
@@ -110,12 +111,9 @@ def default_nu_grid(
     return (lo, *(10.0 ** (llo + i * (lhi - llo) / (points - 1)) for i in range(1, points - 1)), hi)
 
 
-def _scaled_derivative_sum(nu: float, k: int, dens: list[float] | None = None) -> float:
+def _scaled_derivative_sum(nu: float, k: int) -> float:
     # nu (nu + k) L(k) for finite nu: L(k) is L(2) = 0, or L(1) for odd k, plus the steps
-    # -2j/(nu (nu+j)) for j = k-2, k-4, ..., each scaled to -2j (nu+k)/(nu+j) = -2 c / (1 + nu/j).
-    # A caller at one nu for several k passes dens, the 1 + nu/j of k's parity kept so far,
-    # which this call grows to j = k - 2; fsum is correctly rounded, so kept and fresh
-    # terms give the same bits
+    # -2j/(nu (nu+j)) for j = k-2, k-4, ..., each scaled to -2j (nu+k)/(nu+j) = -2 c / (1 + nu/j)
     c = nu + k
     line = 0.0
     if k % 2:
@@ -137,10 +135,7 @@ def _scaled_derivative_sum(nu: float, k: int, dens: list[float] | None = None) -
         line = math.fsum(parts)
     if k < 3:
         return line
-    if dens is None:
-        return line - 2.0 * math.fsum(c / (1.0 + nu / j) for j in range(2 - k % 2, k - 1, 2))
-    dens += [1.0 + nu / j for j in range(2 * len(dens) + 2 - k % 2, k - 1, 2)]
-    return line - 2.0 * math.fsum(c / q for q in dens)
+    return line - 2.0 * math.fsum(c / (1.0 + nu / j) for j in range(2 - k % 2, k - 1, 2))
 
 
 def dlog_mode_value(nu, k: int) -> float:
@@ -290,18 +285,13 @@ def _sweep(ks: range, vals: tuple[float, ...]) -> list[tuple]:
     # _sweeps with aux for one block of dimensions, in two walks over the grid. The first
     # makes the scaled derivative sums of every k at each point, packed as doubles; the
     # second the central differences of ln c, packed alike, and the independent route.
-    # Within a walk what does not depend on k is made once per point: the 1 + nu/j of the
-    # derivative sums, the log-gamma sums at nu +/- h (and at nu for ln c), which gain one
-    # term per k, and the induction step's S(nu, k + 2), read from the first walk
+    # The log-gamma sums at nu +/- h (and at nu for ln c) are prefix sums of one term list
+    # per parity and point (see _log_ratio_values), and the induction step's S(nu, k + 2)
+    # is read from the first walk
     n = len(ks)
-    # the 1 + nu/j of even and of odd j are kept for the next k, up to _MAX_STEPS of them
-    # as the log-gamma sums' terms are; a single k makes them afresh
-    keep = n > 1 and ks[-1] // 2 <= _MAX_STEPS
     sums = array("d")
     for nu in vals:
-        dens = ([], []) if keep else (None, None)
-        for k in ks:
-            sums.append(_scaled_derivative_sum(nu, k, dens[k % 2]))
+        sums.extend(map(_scaled_derivative_sum, repeat(nu, n), ks))
     fds = array("d")
     verdicts = [None] * n
     pi_terms = [0.5 * k * _LN_2PI for k in ks]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
+from math import fsum, log1p
 
 from .errors import ConvergenceError, DomainError
 
@@ -167,10 +168,17 @@ def _log_gamma_ratio(a: float, s: float) -> float:
         if a < _MAX_STEPS:
             return math.lgamma(a + s) - math.lgamma(a) - s * math.log(a)
         return (a + s - 0.5) * math.log1p(s / a) - s - s / (12.0 * a * (a + s))
-    parts = [math.log1p((f + j) / a) for j in range(0 if f else 1, whole)]
-    if f:
-        parts.append(_fraction_term(a, f))
-    return math.fsum(parts)
+    return fsum(_ratio_terms(a, f, whole))
+
+
+def _ratio_terms(a: float, f: float, whole: int) -> list[float]:
+    # the terms of Q(a, f + whole) on _log_gamma_ratio's main branch, 0 <= f < 1: Q(a, f),
+    # then log1p((f + j) / a) for j < whole, so the first w + 1 of them sum to Q(a, f + w)
+    # for every w <= whole. For f = 0 the first two are 0.0, which leaves every fsum as is
+    terms = [_fraction_term(a, f) if f else 0.0]
+    for j in range(whole):
+        terms.append(log1p((f + j) / a))
+    return terms
 
 
 def _fraction_term(a: float, f: float) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from math import fsum, log1p
+from math import fsum
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, DomainError, MomentExistenceError
@@ -37,8 +37,8 @@ from .specfun import (
     _MAX_STEPS,
     _NORMAL_MIN,
     _NOT_REAL,
-    _fraction_term,
     _log_gamma_ratio,
+    _ratio_terms,
     _real,
     _require_count,
     _require_nonnegative,
@@ -113,38 +113,22 @@ def _log_ratio_nu(nu: float, two_s: float) -> float:
 
 def _log_ratio_values(nu: float, ks: Sequence[int]) -> list[float]:
     # [_log_ratio_nu(nu, k) for k in ks], ks increasing, with its bits. On
-    # _log_gamma_ratio's main branch Q(a, k/2), a = nu/2, is the fsum of log1p((f + j) / a)
-    # for j < k // 2, from j = 1 for even k (f = 0) and from j = 0 plus Q(a, 1/2) for odd k
-    # (f = 1/2). Each parity keeps its terms, so a step in k adds one; fsum is correctly
-    # rounded, so the kept terms sum to the bits of the terms made afresh. Off that branch
-    # for the largest k (the Gaussian limit, a subnormal half nu, more than _MAX_STEPS whole
-    # steps, or (k/2) / a past the double range) each k takes _log_ratio_nu. A single k
-    # (a classification's, twice per grid point) sums its terms with no chain to keep
+    # _log_gamma_ratio's main branch Q(a, k/2), a = nu/2, is the fsum of the first
+    # k // 2 + 1 terms of _ratio_terms(a, f, w) for any w >= k // 2, with f = 1/2 for odd k
+    # and 0 for even k, so one list per parity, made up to the largest k of that parity,
+    # serves every k of ks; fsum is correctly rounded, so a prefix has the bits of the same
+    # terms made afresh. Off that branch for the largest k (the Gaussian limit, a subnormal
+    # half nu, more than _MAX_STEPS whole steps, or (k/2) / a past the double range) each k
+    # takes _log_ratio_nu
     a = 0.5 * nu
     top = ks[-1]
     if math.isinf(nu) or a <= _NORMAL_MIN or top // 2 > _MAX_STEPS or 0.5 * top / a == math.inf:
         return [_log_ratio_nu(nu, k) for k in ks]
     if len(ks) == 1:
-        f = 0.5 * (top % 2)
-        terms = [_fraction_term(a, f)] if f else []
-        for j in range(1 - top % 2, top // 2):
-            terms.append(log1p((f + j) / a))
-        return [fsum(terms)]
-    values = []
-    even, odd = [], []
-    for k in ks:
-        whole = k // 2
-        if k % 2:
-            if not odd:
-                odd.append(_fraction_term(a, 0.5))
-            for j in range(len(odd) - 1, whole):
-                odd.append(log1p((0.5 + j) / a))
-            values.append(fsum(odd))
-        else:
-            for j in range(len(even) + 1, whole):
-                even.append(log1p((0.0 + j) / a))
-            values.append(fsum(even))
-    return values
+        # a classification's single k, twice per grid point: the whole list is its sum
+        return [fsum(_ratio_terms(a, 0.5 * (top % 2), top // 2))]
+    terms = {p: _ratio_terms(a, 0.5 * p, (top - p) // 2) for p in {k % 2 for k in ks}}
+    return [fsum(terms[k % 2][: k // 2 + 1]) for k in ks]
 
 
 def log_mode_value(nu, k: int) -> float:

@@ -134,6 +134,22 @@ class TestArguments:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json"]
 
 
+    @pytest.mark.parametrize("which", ["--parent", "--change"])
+    def test_rejects_an_unknown_revision(self, monkeypatch, capsys, tmp_path, which):
+        # a one-commit repository stands in for this one; the revision is rejected before
+        # either tree is exported, with the option named, and no report is written
+        (tmp_path / "BENCHMARK.json").write_text((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+        for argv in (["init", "-q"], ["add", "BENCHMARK.json"], ["commit", "-q", "-m", "benchmark"]):
+            subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv], cwd=tmp_path, check=True)
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: pytest.fail("exported"))
+        revs = {"--parent": "HEAD", "--change": "HEAD", which: "nosuchrev"}
+        with pytest.raises(SystemExit) as info:
+            bench_pairs.main(["--workload", "verify", *(x for item in revs.items() for x in item)])
+        assert info.value.code == 2
+        assert f"{which} 'nosuchrev' names no commit" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".git", "BENCHMARK.json"]
+
 class TestRunOrder:
     def test_each_seed_alternates(self, monkeypatch, tmp_path):
         # no tree is exported and no benchmark runs; the report goes to tmp_path, not the repository

@@ -256,7 +256,7 @@ class TestExitOne:
     @pytest.mark.parametrize(
         "module, name, fake, args, first_problem",
         [
-            (monotone, "_scaled_derivative_sum", lambda nu, k, dens=None: 1.0 if nu < 1.0 else -1.0, ["verify", "--k-max", "3", "--points", "10"], "violation: k=1: mixed"),
+            (monotone, "_scaled_derivative_sum", lambda nu, k: 1.0 if nu < 1.0 else -1.0, ["verify", "--k-max", "3", "--points", "10"], "violation: k=1: mixed"),
             (monotone, "mode_value_even_product", lambda nu, k: 1.0, ["verify", "--k-max", "4", "--points", "10"], "violation: k=2: product-form"),
             (monotone, "_induction_step", _broken_induction, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: induction"),
             (monotone, "_sweeps", _misclassify_k3, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: classified"),

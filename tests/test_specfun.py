@@ -252,6 +252,20 @@ def mp_dps(*values: float) -> int:
     return 30 + 2 * math.ceil(math.log10(max(1.0, *(abs(v) for v in values))))
 
 
+def loop_log_gamma_ratio(a: float, s: float) -> float:
+    """The previous _log_gamma_ratio for s >= 0, kept as the reference for its bits."""
+    whole = int(s)
+    f = s - whole
+    if whole > specfun._MAX_STEPS or (f + whole) / a == math.inf:
+        if a < specfun._MAX_STEPS:
+            return math.lgamma(a + s) - math.lgamma(a) - s * math.log(a)
+        return (a + s - 0.5) * math.log1p(s / a) - s - s / (12.0 * a * (a + s))
+    parts = [math.log1p((f + j) / a) for j in range(0 if f else 1, whole)]
+    if f:
+        parts.append(specfun._fraction_term(a, f))
+    return math.fsum(parts)
+
+
 class TestLogGammaRatio:
     @staticmethod
     def within(a: float, s: float, rtol: float) -> bool:
@@ -301,6 +315,16 @@ class TestLogGammaRatio:
             for s in shifts + [-s for s in shifts if s < a] + [-a * rng.random()]:
                 if a + s > 0.0:
                     assert specfun._log_gamma_ratio(a, s).hex() == specfun.log_gamma_ratio(a, s).hex(), (a, s)
+
+    def test_same_bits_as_the_reference(self):
+        # a log-uniform on [5e-324, 1e300] and s = w + f with w up to _MAX_STEPS whole steps
+        rng = random.Random(30)
+        tails = [5e-324, 1e-310, 2.0**-1022, 0.5, 14.999999999999998, 15.0, 1e300]
+        tails += [10.0 ** rng.uniform(-323.5, 300.0) for _ in range(40)]
+        wholes = [0, 1, 2, 3, 7, 120, 250, rng.randrange(251, 9_999), 9_999, specfun._MAX_STEPS]
+        for a in tails:
+            for s in (w + f for w in wholes for f in (0.0, 0.5, 0.3, 0.875)):
+                assert specfun._log_gamma_ratio(a, s).hex() == loop_log_gamma_ratio(a, s).hex(), (a, s)
 
 
 class TestDigamma:

@@ -277,8 +277,13 @@ def loop_log_density(nu, k, point):
     return base - 0.5 * (nu + k) * (math.log1p(q) if q < math.inf else math.log(sq) - math.log(nu))
 
 
+# the shapes of ks the walks pass: a classification's one k, as a tuple and as a range,
+# and a single-parity run
+ONE_K_SHAPES = [shape for k in (1, 2, 3, 20, 501, 20_001) for shape in ((k,), range(k, k + 1))]
+
+
 class TestLogRatioValues:
-    """The log-gamma sums that keep their terms from one k to the next have _log_ratio_nu's bits."""
+    """The log-gamma sums from prefixes of one term list per parity have _log_ratio_nu's bits."""
 
     @staticmethod
     def assert_same_bits(nu, ks):
@@ -287,11 +292,11 @@ class TestLogRatioValues:
 
     def test_log_uniform_tail_weights(self):
         # nu log-uniform on [1e-320, 1.7e308], with the walks verify makes: from k = 1, from
-        # a later block start, and over the even k alone
+        # a later block start, over the even k alone and over odd k alone, and one k
         rng = random.Random(2028)
         for _ in range(400):
             nu = 10.0 ** rng.uniform(-320.0, 308.2)
-            for ks in (range(1, 61), range(37, 101), range(2, 61, 2)):
+            for ks in [range(1, 61), range(37, 101), range(2, 61, 2), range(3, 61, 2), *ONE_K_SHAPES]:
                 self.assert_same_bits(nu, ks)
 
     @pytest.mark.parametrize(
@@ -300,7 +305,8 @@ class TestLogRatioValues:
         [5e-324, 1e-320, 2.0**-1021, 2.0**-1020, 29.999999999999996, 30.0, 1e300, 1.7976931348623157e308, math.inf],
     )
     def test_edges(self, nu):
-        self.assert_same_bits(nu, range(1, 80))
+        for ks in [range(1, 80), range(3, 61, 2), *ONE_K_SHAPES]:
+            self.assert_same_bits(nu, ks)
 
     @pytest.mark.parametrize("ks", [range(19_990, 20_010), range(20_001, 20_004)], ids=["across", "past"])
     def test_past_the_whole_steps(self, ks):
