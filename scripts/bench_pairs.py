@@ -23,9 +23,12 @@ run with the environment it printed (including a hash of the sources
 measured), each side's median and quartiles per end-to-end metric, and per metric how many pairs each side
 won (ties count for neither), whether the change won at least nine
 tenths of at least ten pairs by more than the parent's interquartile
-range, and whether its median is worse than the parent's by more than
-the bound. Fewer than ten pairs never make a gain claimable: 2 of 2 or
-3 of 3 wins happen by chance too often to count as evidence. Nor does a
+range, whether its median is worse than the parent's by more than
+the bound, and whether the metric is unresolved: either side's
+interquartile range is wider than the bound's share of the parent's
+median, and not every change run beats every parent run. Fewer than ten
+pairs never make a gain claimable: 2 of 2 or 3 of 3 wins happen by
+chance too often to count as evidence. Nor does a
 run with `correct: false`, or a pair in which the change failed more
 ops than the parent: a faster wrong answer is no gain.
 
@@ -119,6 +122,8 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
         and all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
         and all(p["change"]["failed"] <= p["parent"]["failed"] for p in pairs),
         "worse_beyond_bound": worse > metric["bound"] * abs(base["median"]),
+        "unresolved": max(base["q3"] - base["q1"], new["q3"] - new["q1"]) > metric["bound"] * abs(base["median"])
+        and not min(sign * c for c in change) > max(sign * b for b in parent),
     }
 
 

@@ -15,16 +15,13 @@ a central finite difference of the log mode value, and exposes the
 even-dimension product form plus the odd-dimension induction step used
 to establish the pattern analytically.
 
-verify_dimensions checks k = 1..K in one sweep of the grid per block of
-dimensions, not one per k: the log-gamma sums behind ln c at nu +/- h
-(and at nu for the product check) are prefix sums of one list of log1p
-terms per parity, made once per point for the block's largest k, and
-the induction step's sum for k + 2 is the next odd k's. math.fsum is
-correctly rounded, so a prefix has the bits of the same terms formed
-afresh, and every row equals verify_dimension's, the same sweep for a
-single k.
-classify_monotonicity runs no independent route, so its one k walks the
-grid without the block's per-k bookkeeping; one helper judges both.
+verify_dimensions checks k = 1..K in one walk over the grid per block of
+dimensions, not one per k: at each point the log-gamma sums behind ln c
+are prefix sums of one list of log1p terms per parity, and the induction
+step reads the sum for k + 2 from the point's row. math.fsum is
+correctly rounded, so every row equals verify_dimension's, the same walk
+for one k. classify_monotonicity walks the grid for its one k alone; one
+helper judges both walks.
 
 A mixed sign pattern would contradict the proven classification, so it
 raises MonotonicityViolationError instead of being folded into a report;
@@ -36,12 +33,12 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from itertools import repeat
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, MonotonicityViolationError
 from .specfun import _HALF_SHIFT, _NORMAL_MIN, _RATIO_SERIES_MIN, _real, _require_count, _require_positive
-from .tdist import _LN_2PI, _exp, _log_ratio_values, check_dim, check_dof
+from .tdist import _LN_2PI, _exp, _log_ratio_nu, _log_ratio_values, check_dim, check_dof
 
 __all__ = [
     "DEFAULT_GRID_RANGE",
@@ -243,64 +240,48 @@ def classify_monotonicity(k: int, grid: Sequence[float] | None = None) -> Monoto
     """
     k = check_dim(k)
     vals = _default_grid() if grid is None else _validate_grid(grid)
-    ((_, report, _),) = _sweeps(range(k, k + 1), vals, aux=False)
+    sums = array("d", map(_scaled_derivative_sum, vals, repeat(k)))
+    fds = array("d")
+    pi_term = 0.5 * k * _LN_2PI
+    for nu in vals:
+        h = nu * FD_STEP_SCALE
+        if h:
+            # log_mode_value(nu +/- h, k) less its checks: k and the grid are checked, and
+            # 0 < h < nu; _log_ratio_nu takes nu + h = inf and a subnormal nu - h
+            up, down = _log_ratio_nu(nu + h, k), _log_ratio_nu(nu - h, k)
+            fds.append(((up - pi_term) - (down - pi_term)) / (2.0 * h))
+        else:
+            fds.append(math.nan)
+    report = _report(k, vals, sums, fds)
     if isinstance(report, MonotonicityViolationError):
         raise report
     return report
 
 
-# the sweep takes the dimensions in blocks that keep at most this many derivative
-# sums, and at least one dimension, so what it holds at once is bounded whatever
-# the number of dimensions
+# verify takes the dimensions in blocks that keep at most this many derivative sums,
+# and at least one dimension, so what it holds at once is bounded whatever the
+# number of dimensions
 _BLOCK_SUMS = 2**14
 
 
-def _sweeps(ks: range, vals: tuple[float, ...], aux: bool) -> Iterator[tuple]:
-    # (k, its MonotonicityReport or MonotonicityViolationError, verdict) per k of ks, in
-    # order; with aux the verdict is the independent route's: the worst product-form gap
-    # for even k, the first induction failure (None if none) for odd k >= 3
-    if not aux:
-        # classify_monotonicity's single k: plain walks for the scaled derivative sums
-        # and the central differences of ln c, with none of the block's bookkeeping
-        for k in ks:
-            sums = array("d", map(_scaled_derivative_sum, vals, repeat(k)))
-            fds = array("d")
-            one, pi_term = (k,), 0.5 * k * _LN_2PI  # a tuple indexes faster than a range
-            for nu in vals:
-                h = nu * FD_STEP_SCALE
-                if h:
-                    (up,) = _log_ratio_values(nu + h, one)
-                    (down,) = _log_ratio_values(nu - h, one)
-                    fds.append(((up - pi_term) - (down - pi_term)) / (2.0 * h))
-                else:
-                    fds.append(math.nan)
-            yield k, _report(k, vals, sums, fds), None
-        return
-    size = max(1, _BLOCK_SUMS // len(vals))
-    for first in range(ks.start, ks.stop, size):
-        yield from _sweep(range(first, min(first + size, ks.stop)), vals)
-
-
 def _sweep(ks: range, vals: tuple[float, ...]) -> list[tuple]:
-    # _sweeps with aux for one block of dimensions, in two walks over the grid. The first
-    # makes the scaled derivative sums of every k at each point, packed as doubles; the
-    # second the central differences of ln c, packed alike, and the independent route.
-    # The log-gamma sums at nu +/- h (and at nu for ln c) are prefix sums of one term list
-    # per parity and point (see _log_ratio_values), and the induction step's S(nu, k + 2)
-    # is read from the first walk
+    # (k, its MonotonicityReport or MonotonicityViolationError, verdict) per k of one block
+    # of dimensions, from one walk over the grid; the verdict is the independent route's:
+    # the worst product-form gap for even k, the first induction failure (None if none) for
+    # odd k >= 3. At each point the walk makes the row of scaled derivative sums of every k,
+    # the central differences of ln c, and the independent route, whose induction step reads
+    # S(nu, k + 2) from the row. The log-gamma sums at nu +/- h (and at nu for ln c) are
+    # prefix sums of one term list per parity and point (see _log_ratio_values)
     n = len(ks)
-    sums = array("d")
-    for nu in vals:
-        sums.extend(map(_scaled_derivative_sum, repeat(nu, n), ks))
-    fds = array("d")
+    sums, fds = array("d"), array("d")
     verdicts = [None] * n
     pi_terms = [0.5 * k * _LN_2PI for k in ks]
     evens = ks[ks[0] % 2 :: 2]
-    for p, nu in enumerate(vals):
+    for nu in vals:
+        row = list(map(_scaled_derivative_sum, repeat(nu, n), ks))
+        sums.extend(row)
         h = nu * FD_STEP_SCALE
         if h:
-            # log_mode_value(nu +/- h, k) less its checks: k and the grid are checked, and
-            # 0 < h < nu; _log_ratio_nu takes nu + h = inf and a subnormal nu - h
             ups, downs = _log_ratio_values(nu + h, ks), _log_ratio_values(nu - h, ks)
             fds.extend([((up - t) - (down - t)) / (2.0 * h) for up, down, t in zip(ups, downs, pi_terms)])
         else:
@@ -311,10 +292,9 @@ def _sweep(ks: range, vals: tuple[float, ...]) -> list[tuple]:
                 rel = _product_rel(nu, k, next(centers) - pi_terms[i])
                 verdicts[i] = rel if verdicts[i] is None else max(verdicts[i], rel)
             elif k >= 3 and verdicts[i] is None:
-                j = p * n + i
-                ahead = sums[j + 2] if i + 2 < n else _scaled_derivative_sum(nu, k + 2)
+                ahead = row[i + 2] if i + 2 < n else _scaled_derivative_sum(nu, k + 2)
                 try:
-                    _induction_step(nu, k, sums[j], ahead)
+                    _induction_step(nu, k, row[i], ahead)
                 except MonotonicityViolationError as exc:
                     verdicts[i] = exc
     return [(k, _report(k, vals, sums[i::n], fds[i::n]), verdicts[i]) for i, k in enumerate(ks)]
@@ -418,7 +398,9 @@ def verify_dimensions(k_max: int, grid: Sequence[float]) -> list[tuple[list, lis
 
 def _verify(ks: range, vals: tuple[float, ...]) -> list[tuple[list, list[str]]]:
     out = []
-    for k, report, verdict in _sweeps(ks, vals, aux=True):
+    size = max(1, _BLOCK_SUMS // len(vals))
+    blocks = (range(first, min(first + size, ks.stop)) for first in range(ks.start, ks.stop, size))
+    for k, report, verdict in chain.from_iterable(_sweep(block, vals) for block in blocks):
         expected = {1: "increasing", 2: "constant"}.get(k, "decreasing")
         if isinstance(report, MonotonicityViolationError):
             out.append(([k, expected, "violated", math.nan, "-", False], [f"k={k}: {report}"]))

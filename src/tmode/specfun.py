@@ -348,7 +348,9 @@ def _reg_inc_beta(a: float, b: float, x: float, y: float, log_small: float) -> f
     if rest + q * math.log1p(q / p) < -750.0:
         value = 0.0
     else:
-        fraction, iterations = _lentz(1.0 - (a + b) * x / (a + 1.0), 1.0, _beta_steps(a, b, x))
+        # the first denominator 1 - (a + b) x / (a + 1), as ((a + 1) y - (b - 1) x) / (a + 1):
+        # where a or b is huge, x lies near (a + 1) / (a + b) and the plain form cancels
+        fraction, iterations = _lentz(((a + 1.0) * y - (b - 1.0) * x) / (a + 1.0), 1.0, _beta_steps(a, b, x))
         try:
             # p and q are checked finite positive shapes
             front = math.exp(_log_gamma_ratio(p, q) + rest)

@@ -112,21 +112,15 @@ def _log_ratio_nu(nu: float, two_s: float) -> float:
 
 
 def _log_ratio_values(nu: float, ks: Sequence[int]) -> list[float]:
-    # [_log_ratio_nu(nu, k) for k in ks], ks increasing, with its bits. On
-    # _log_gamma_ratio's main branch Q(a, k/2), a = nu/2, is the fsum of the first
-    # k // 2 + 1 terms of _ratio_terms(a, f, w) for any w >= k // 2, with f = 1/2 for odd k
-    # and 0 for even k, so one list per parity, made up to the largest k of that parity,
-    # serves every k of ks; fsum is correctly rounded, so a prefix has the bits of the same
-    # terms made afresh. Off that branch for the largest k (the Gaussian limit, a subnormal
-    # half nu, more than _MAX_STEPS whole steps, or (k/2) / a past the double range) each k
-    # takes _log_ratio_nu
+    # [_log_ratio_nu(nu, k) for k in ks], ks increasing, bit for bit. On _log_gamma_ratio's
+    # main branch Q(nu/2, k/2) is the fsum of the first k // 2 + 1 terms of one _ratio_terms
+    # list per parity, made for that parity's largest k; fsum is correctly rounded, so a
+    # prefix has the bits of those terms summed afresh. Off that branch for the largest k,
+    # each k takes _log_ratio_nu
     a = 0.5 * nu
     top = ks[-1]
     if math.isinf(nu) or a <= _NORMAL_MIN or top // 2 > _MAX_STEPS or 0.5 * top / a == math.inf:
         return [_log_ratio_nu(nu, k) for k in ks]
-    if len(ks) == 1:
-        # a classification's single k, twice per grid point: the whole list is its sum
-        return [fsum(_ratio_terms(a, 0.5 * (top % 2), top // 2))]
     terms = {p: _ratio_terms(a, 0.5 * p, (top - p) // 2) for p in {k % 2 for k in ks}}
     return [fsum(terms[k % 2][: k // 2 + 1]) for k in ks]
 

@@ -52,6 +52,26 @@ class TestClosedForm:
             assert abs(ballprob.ball_prob(1e300, 2, r) + math.expm1(-0.5 * r * r)) <= 1e-12
 
     @pytest.mark.parametrize(
+        "nu, k, r",
+        [
+            (1e16, 2, 3.0),
+            (1e20, 2, 3.0),
+            pytest.param(
+                1e12, 20, 5.0,
+                marks=pytest.mark.xfail(
+                    strict=True, reason="the later continued-fraction steps cancel like the first: 1.7e-8 off"
+                ),
+            ),
+        ],
+    )
+    def test_huge_nu_against_quadrature(self, nu, k, r):
+        # nu/2 dwarfs k/2, so x lies near (a + 1)/(a + b) and the fraction's first
+        # denominator 1 - (a + b) x / (a + 1) cancels unless it is formed from y = 1 - x
+        got = ballprob.ball_prob(nu, k, r)
+        assert got >= 0.0
+        assert got == pytest.approx(ballprob.ball_prob_quadrature(nu, k, r).value, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
         "nu,k,r,want",
         [
             # 1000-digit mpmath; nu/2 or nu/(r^2 + nu) underflows to 0

@@ -109,6 +109,29 @@ class TestWorseBeyondBound:
         assert not got["worse_beyond_bound"]
 
 
+class TestUnresolved:
+    # the bound is 0.25 of the parent's median, 100; [70, 130] x 5 has quartiles 70 and 130
+    WIDE = [70.0, 130.0] * 5
+
+    @pytest.mark.parametrize(
+        "metric, parent, change, unresolved",
+        [
+            (HIGHER, [100.0] * 10, [100.0] * 10, False),
+            (HIGHER, [90.0, 110.0] * 5, [95.0, 105.0] * 5, False),  # spread 20 and 10, within 25
+            (HIGHER, WIDE, [100.0] * 10, True),  # the parent's spread
+            (HIGHER, [100.0] * 10, WIDE, True),  # the change's spread
+            (LOWER, [100.0] * 10, WIDE, True),
+            # every change run beats every parent run, however wide either spread
+            (HIGHER, WIDE, [x + 61.0 for x in WIDE], False),
+            (HIGHER, WIDE, [x + 60.0 for x in WIDE], True),  # 130 ties 130: not every run beats
+            (LOWER, WIDE, [x - 61.0 for x in WIDE], False),
+            (LOWER, WIDE, [x + 61.0 for x in WIDE], True),  # every change run loses
+        ],
+    )
+    def test_spread_against_bound(self, metric, parent, change, unresolved):
+        assert summarize(metric, parent, change)["unresolved"] is unresolved
+
+
 class TestArguments:
     @pytest.mark.parametrize("pairs", ["0", "-3"])
     def test_rejects_fewer_than_one_pair(self, monkeypatch, capsys, pairs):

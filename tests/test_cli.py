@@ -245,9 +245,8 @@ def _broken_induction(nu, k, scaled_k, scaled_next):
     raise MonotonicityViolationError(f"induction chain increased at nu={nu}, k={k}", witnesses=[(nu, 1.0)])
 
 
-def _misclassify_k3(ks, vals, aux, sweeps=monotone._sweeps):
-    for k, report, verdict in sweeps(ks, vals, aux):
-        yield k, (report._replace(classification="increasing") if k == 3 else report), verdict
+def _misclassify_k3(ks, vals, sweep=monotone._sweep):
+    return [(k, report._replace(classification="increasing") if k == 3 else report, v) for k, report, v in sweep(ks, vals)]
 
 
 class TestExitOne:
@@ -259,7 +258,7 @@ class TestExitOne:
             (monotone, "_scaled_derivative_sum", lambda nu, k: 1.0 if nu < 1.0 else -1.0, ["verify", "--k-max", "3", "--points", "10"], "violation: k=1: mixed"),
             (monotone, "mode_value_even_product", lambda nu, k: 1.0, ["verify", "--k-max", "4", "--points", "10"], "violation: k=2: product-form"),
             (monotone, "_induction_step", _broken_induction, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: induction"),
-            (monotone, "_sweeps", _misclassify_k3, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: classified"),
+            (monotone, "_sweep", _misclassify_k3, ["verify", "--k-max", "3", "--points", "10"], "violation: k=3: classified"),
             (ballprob, "format_published", lambda value, k: "0", ["table1"], "mismatch at nu=1.0, k=1:"),
         ],
         ids=["mixed-signs", "product", "induction", "classified", "table1"],

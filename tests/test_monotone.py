@@ -265,7 +265,7 @@ class TestClassification:
 
     def test_values_moving_against_the_classification_raise(self, monkeypatch):
         # flat log mode values under the decreasing derivative of k = 3
-        monkeypatch.setattr(monotone, "_log_ratio_values", lambda nu, ks: [1.0] * len(ks))
+        monkeypatch.setattr(monotone, "_log_ratio_nu", lambda nu, two_s: 1.0)
         grid = monotone.default_nu_grid(0.1, 100.0, 12)
         with pytest.raises(errors.MonotonicityViolationError, match="move against the 'decreasing'") as info:
             monotone.classify_monotonicity(3, grid)
@@ -327,7 +327,8 @@ class TestClassification:
     )
     def test_residual_from_the_public_routes(self, grid):
         # the worst |d - fd| / max(FD_RESIDUAL_FLOOR, |d|), bit for bit, with d from
-        # dlog_mode_value and fd the central difference of log_mode_value
+        # dlog_mode_value and fd the central difference of log_mode_value; verify_dimension's
+        # walk, which shares only the judging with classify_monotonicity's, gives the same
         for k in (1, 2, 3, 4, 5, 19, 20, 101, 500):
             worst = 0.0
             for nu in grid:
@@ -338,7 +339,10 @@ class TestClassification:
                 fd = (tdist.log_mode_value(nu + h, k) - tdist.log_mode_value(nu - h, k)) / (2.0 * h)
                 if math.isfinite(d) and math.isfinite(fd):
                     worst = max(worst, abs(d - fd) / max(monotone.FD_RESIDUAL_FLOOR, abs(d)))
-            assert monotone.classify_monotonicity(k, grid).max_derivative_residual.hex() == worst.hex(), k
+            report = monotone.classify_monotonicity(k, grid)
+            assert report.max_derivative_residual.hex() == worst.hex(), k
+            row, _ = monotone.verify_dimension(k, grid)
+            assert (row[2], row[3].hex()) == (report.classification, worst.hex()), k
 
     def test_grid_validation(self):
         with pytest.raises(errors.DomainError):
@@ -527,8 +531,8 @@ class TestVerifyDimension:
         ids=["classification", "residual"],
     )
     def test_report_failures(self, monkeypatch, report, failure):
-        sweeps = monotone._sweeps
-        monkeypatch.setattr(monotone, "_sweeps", lambda ks, vals, aux: [(k, report, v) for k, _, v in sweeps(ks, vals, aux)])
+        sweep = monotone._sweep
+        monkeypatch.setattr(monotone, "_sweep", lambda ks, vals: [(k, report, v) for k, _, v in sweep(ks, vals)])
         row, failures = monotone.verify_dimension(3, self.GRID)
         assert row == [3, "decreasing", *report, "induction", False]
         assert failures == [failure]
