@@ -277,8 +277,7 @@ def loop_log_density(nu, k, point):
     return base - 0.5 * (nu + k) * (math.log1p(q) if q < math.inf else math.log(sq) - math.log(nu))
 
 
-# the shapes of ks the walks pass: a classification's one k, as a tuple and as a range,
-# and a single-parity run
+# one k, as a range (verify_dimension's walk) and as a tuple
 ONE_K_SHAPES = [shape for k in (1, 2, 3, 20, 501, 20_001) for shape in ((k,), range(k, k + 1))]
 
 
