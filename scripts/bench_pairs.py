@@ -24,12 +24,14 @@ measured), each side's median and quartiles per end-to-end metric, and per metri
 won (ties count for neither), whether the change won at least nine
 tenths of at least ten pairs by more than the parent's interquartile
 range, whether its median is worse than the parent's by more than
-the bound, and whether the metric is unresolved: either side's
-interquartile range is wider than the bound's share of the parent's
-median, and not every change run beats every parent run. Fewer than ten
-pairs never make a gain claimable: 2 of 2 or 3 of 3 wins happen by
-chance too often to count as evidence. Nor does a
-run with `correct: false`, or a pair in which the change failed more
+the bound, and whether the metric is unresolved: for some seed, either
+side's interquartile range over that seed's runs is wider than the
+bound's share of the parent's median for that seed, and not every change
+run beats every parent run. Each seed's medians and quartiles are kept
+under "per_seed", since a metric such as wrong_frac is fixed per seed
+and differs between seeds. Fewer than ten pairs never make a gain
+claimable: 2 of 2 or 3 of 3 wins happen by chance too often to count as
+evidence. Nor does a run with `correct: false`, or a pair in which the change failed more
 ops than the parent: a faster wrong answer is no gain.
 
 A run that exits nonzero or prints no result line ends the loop: the
@@ -108,6 +110,16 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
     gains = [sign * (c - b) for b, c in zip(parent, change)]
     base, new = spread(parent), spread(change)
     worse = sign * (base["median"] - new["median"])
+    # a metric can depend on the seed, so run-to-run noise is the spread among one seed's runs
+    per_seed = {}
+    for seed in dict.fromkeys(p.get("seed") for p in pairs):
+        runs = [p for p in pairs if p.get("seed") == seed]
+        per_seed[str(seed)] = {side: spread([p[side]["metrics"][name] for p in runs]) for side in ("parent", "change")}
+    noisy = any(
+        max(s["parent"]["q3"] - s["parent"]["q1"], s["change"]["q3"] - s["change"]["q1"])
+        > metric["bound"] * abs(s["parent"]["median"])
+        for s in per_seed.values()
+    )
     return {
         "unit": metric["unit"],
         "better": metric["better"],
@@ -122,8 +134,8 @@ def summarize(metric: dict, pairs: list[dict]) -> dict:
         and all(p[side]["correct"] for p in pairs for side in ("parent", "change"))
         and all(p["change"]["failed"] <= p["parent"]["failed"] for p in pairs),
         "worse_beyond_bound": worse > metric["bound"] * abs(base["median"]),
-        "unresolved": max(base["q3"] - base["q1"], new["q3"] - new["q1"]) > metric["bound"] * abs(base["median"])
-        and not min(sign * c for c in change) > max(sign * b for b in parent),
+        "unresolved": noisy and not min(sign * c for c in change) > max(sign * b for b in parent),
+        "per_seed": per_seed,
     }
 
 

@@ -197,7 +197,7 @@ def cmd_density_profile(k, nu_text, axis_range):
     for nu in nus:
         for t in ts:
             point = [t] + [0.0] * (k - 1)
-            rows.append([float(nu), t, math.exp(tdist.log_density(nu, k, point))])
+            rows.append([float(nu), t, tdist._exp(tdist.log_density(nu, k, point))])
     return ["nu", "t", "density"], rows, []
 
 

@@ -28,7 +28,6 @@ mode value is the constant 1/(2 pi) to within two ulps for every nu.
 from __future__ import annotations
 
 import math
-import operator
 from math import fsum
 from typing import Iterable, Sequence
 
@@ -150,38 +149,45 @@ def log_density(nu, k: int, point: Sequence[float] | Iterable[float]) -> float:
 
     The point must have exactly k coordinates; anything else raises
     DimensionMismatchError. The density depends on the point only
-    through its norm (the family is isotropic).
+    through its norm (the family is isotropic): |x| from math.hypot,
+    under one ulp off and exactly |t| on an axis, then squared. Where
+    |x|^2 / nu overflows, ln q = ln |x|^2 - ln nu takes 2 ln |x| once
+    |x|^2 overflows, and rescales by the largest |c| once |x| does.
     """
     nu = check_dof(nu)
     k = check_dim(k)
     try:
-        coords = list(map(float, point))
+        # a tuple, which hypot(*coords) passes on without a copy
+        coords = tuple(map(float, point))
     except _NOT_REAL as exc:
         raise DomainError(f"coordinates must be real numbers: {exc}") from None
     if len(coords) != k:
         raise DimensionMismatchError(f"expected {k} coordinates, got {len(coords)}")
-    try:
-        sq = math.fsum(map(operator.mul, coords, coords))
-    except OverflowError:
-        # finite squares whose sum passes the double range
-        sq = math.inf
-    if not math.isfinite(sq):
-        # a nan or infinite coordinate makes the sum nan or inf, so only then look for one
+    norm = math.hypot(*coords)
+    if not math.isfinite(norm):
+        # a nan or infinite coordinate makes the norm nan or inf, so only then look for one
         for c in coords:
             if math.isnan(c) or math.isinf(c):
                 raise DomainError(f"coordinates must be finite, got {c!r}")
     base = _log_ratio_nu(nu, k) - (0.5 * k) * _LN_2PI  # log_mode_value on the checked nu and k
+    sq = norm * norm
     if math.isinf(nu):
         return base - 0.5 * sq
-    if sq == math.inf:
-        # |x| above about 1.3e154: ln q from the coordinates scaled by the largest |c|,
-        # and ln(1 + q) = ln q + log1p(1/q) as q > 1
-        s = max(abs(c) for c in coords)
-        log_q = 2.0 * math.log(s) + math.log(math.fsum((c / s) ** 2 for c in coords)) - math.log(nu)
-        return base - 0.5 * (nu + k) * (log_q + math.log1p(math.exp(-log_q)))
     q = sq / nu
-    # where q overflows, log1p(q) is ln sq - ln nu to the last bit
-    return base - 0.5 * (nu + k) * (math.log1p(q) if q < math.inf else math.log(sq) - math.log(nu))
+    if q < math.inf:
+        return base - 0.5 * (nu + k) * math.log1p(q)
+    if sq < math.inf:
+        log_sq = math.log(sq)
+    elif norm < math.inf:
+        # |x| above about 1.3e154
+        log_sq = 2.0 * math.log(norm)
+    else:
+        # |x| above about 1.8e308
+        s = max(map(abs, coords))
+        log_sq = 2.0 * (math.log(s) + math.log(math.hypot(*[c / s for c in coords])))
+    # ln(1 + q) = ln q + log1p(1/q) as q > 1; the second term adds nothing unless |x|^2 overflows
+    log_q = log_sq - math.log(nu)
+    return base - 0.5 * (nu + k) * (log_q + math.log1p(math.exp(-log_q)))
 
 
 def radial_moment(nu, k: int, m) -> float:

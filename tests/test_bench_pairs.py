@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import statistics
 import subprocess
 from pathlib import Path
 
@@ -130,6 +131,27 @@ class TestUnresolved:
     )
     def test_spread_against_bound(self, metric, parent, change, unresolved):
         assert summarize(metric, parent, change)["unresolved"] is unresolved
+
+    @pytest.mark.parametrize(
+        "parent, change, unresolved",
+        [
+            # fixed per seed, 70 on seed 1 and 130 on seed 2: no noise, whatever the seeds' spread
+            (WIDE, WIDE, False),
+            (WIDE, [71.0, 129.0] * 5, False),
+            # noise within seed 2: parent runs 130, 170, 130, 170, 130 have quartiles 130 and 170, 40 > 0.25 x 130
+            ([70.0, 130.0, 70.0, 170.0] * 2 + [70.0, 130.0], WIDE, True),
+        ],
+    )
+    def test_spread_within_each_seed(self, parent, change, unresolved):
+        # pairs alternate between seeds 1 and 2, as the script runs them
+        pairs = [
+            {"seed": 1 + i % 2, "parent": side(LOWER, b), "change": side(LOWER, c)}
+            for i, (b, c) in enumerate(zip(parent, change))
+        ]
+        got = bench_pairs.summarize(LOWER, pairs)
+        assert got["unresolved"] is unresolved
+        assert got["per_seed"]["1"]["parent"]["median"] == 70.0
+        assert got["per_seed"]["2"]["change"]["median"] == statistics.median(change[1::2])
 
 
 class TestArguments:

@@ -169,6 +169,14 @@ class TestDensityProfile:
         # a finite span near the top of the doubles still prints
         assert invoke(["density-profile", "--k", "2", "--axis-range", "-1e308:7e307:3"]).exit_code == 0
 
+    def test_density_past_double_range_prints_inf(self):
+        # c(1, 500) is about e^842: that cell saturates to inf, as mode-value's do, and the rest print
+        result = invoke(["density-profile", "--k", "500", "--nu", "all", "--axis-range", "-3:3:3"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        _, rows = parse_csv(result.stdout)
+        assert [r[:2] for r in rows if r[2] == "inf"] == [["1", "0"]]
+        assert all(0.0 < float(r[2]) < math.inf for r in rows if r[:2] != ["1", "0"])
+
 
 class TestTable1:
     def test_default_run_matches_published(self):

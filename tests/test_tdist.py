@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -250,7 +251,7 @@ class TestModeValue:
 
 
 def loop_log_density(nu, k, point):
-    """log_density with a per-coordinate finiteness check before the sum, the reference."""
+    """log_density with a per-coordinate finiteness check before |x| is formed, the reference."""
     nu = tdist.check_dof(nu)
     k = tdist.check_dim(k)
     try:
@@ -262,16 +263,18 @@ def loop_log_density(nu, k, point):
     for c in coords:
         if math.isnan(c) or math.isinf(c):
             raise errors.DomainError(f"coordinates must be finite, got {c!r}")
-    try:
-        sq = math.fsum(c * c for c in coords)
-    except OverflowError:
-        sq = math.inf
+    norm = math.hypot(*coords)
+    sq = norm * norm
     base = tdist.log_mode_value(nu, k)
     if math.isinf(nu):
         return base - 0.5 * sq
     if sq == math.inf:
-        s = max(abs(c) for c in coords)
-        log_q = 2.0 * math.log(s) + math.log(math.fsum((c / s) ** 2 for c in coords)) - math.log(nu)
+        if norm == math.inf:
+            s = max(abs(c) for c in coords)
+            log_norm = math.log(s) + math.log(math.hypot(*[c / s for c in coords]))
+        else:
+            log_norm = math.log(norm)
+        log_q = 2.0 * log_norm - math.log(nu)
         return base - 0.5 * (nu + k) * (log_q + math.log1p(math.exp(-log_q)))
     q = sq / nu
     return base - 0.5 * (nu + k) * (math.log1p(q) if q < math.inf else math.log(sq) - math.log(nu))
@@ -321,6 +324,34 @@ class TestLogRatioValues:
             self.assert_same_bits(nu, ks)
 
 
+def off_axis_cases(rng: random.Random) -> list[tuple[float, int, tuple[float, ...]]]:
+    """(nu, k, point) along random directions: for each k in {2, 3, 10, 50, 500}, nu log-uniform
+    on [1e-3, 1e12] plus 1e-310, 1e300 and the Gaussian, |x| log-uniform on [1e-3, 1e3], then
+    |x| = 2e154 and 1e250 (|x|^2 past the double range) and a largest |c| of 1.7e308 (|x| past it)."""
+    cases = []
+    for k in (2, 3, 10, 50, 500):
+        nus = [10.0 ** rng.uniform(-3.0, 12.0) for _ in range(24)] + [1e-310, 1e300, math.inf]
+        for i, nu in enumerate(nus):
+            d = [rng.gauss(0.0, 1.0) for _ in range(k)]
+            if i % 9 == 8:
+                top = max(map(abs, d))
+                cases.append((nu, k, tuple(1.7e308 * (c / top) for c in d)))
+                continue
+            r = (2e154, 1e250)[i % 2] if i % 9 == 7 else 10.0 ** rng.uniform(-3.0, 3.0)
+            norm = math.sqrt(math.fsum(c * c for c in d))
+            cases.append((nu, k, tuple(r * c / norm for c in d)))
+    return cases
+
+
+def mp_log_density(nu: float, k: int, point):
+    """ln f(x) in mpmath at the working precision in force."""
+    sq = mp.fsum(mp.mpf(c) ** 2 for c in point)
+    if math.isinf(nu):
+        return -k * mp.log(2 * mp.pi) / 2 - sq / 2
+    nu = mp.mpf(nu)
+    return mp.loggamma((nu + k) / 2) - mp.loggamma(nu / 2) - k * mp.log(mp.pi * nu) / 2 - (nu + k) / 2 * mp.log1p(sq / nu)
+
+
 def outcome(fn, *args):
     try:
         return "value", fn(*args).hex()
@@ -346,6 +377,7 @@ class TestLogDensity:
             [1.0, 2.0, 3.0, math.inf],
             [1.0, "x", 2.0],
             [1.0, 10**400, 2.0],
+            [1e308, -1e308, 1.0],  # |x| past the double range
         ],
     )
     def test_same_bits_and_errors_as_the_loop_check(self, nu, point):
@@ -407,6 +439,19 @@ class TestLogDensity:
             want = mp.loggamma((nu_mp + k) / 2) - mp.loggamma(nu_mp / 2) - k * mp.log(mp.pi * nu_mp) / 2
             want -= (nu_mp + k) / 2 * mp.log1p(sq / nu_mp)
             assert abs(tdist.log_density(nu, k, point) / want - 1) <= 1e-13
+
+    def test_off_axis_against_mpmath(self):
+        # every coordinate feeds |x|; past the double range the Gaussian member's value is -inf
+        cases = off_axis_cases(random.Random(3215))
+        assert sum(math.hypot(*point) == math.inf for _, _, point in cases) >= 3
+        for nu, k, point in cases:
+            got = tdist.log_density(nu, k, point)
+            with mp.workdps(mp_dps(nu)):
+                want = mp_log_density(nu, k, point)
+                if abs(want) > sys.float_info.max:
+                    assert got == -math.inf, (nu, k, point[:2])
+                else:
+                    assert abs(got - want) <= 1e-13 * max(1, abs(want)), (nu, k, point[:2])
 
     def test_checks_each_argument_once(self, monkeypatch):
         calls = []
