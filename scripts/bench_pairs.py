@@ -31,8 +31,8 @@ run beats every parent run. Each seed's medians and quartiles are kept
 under "per_seed", since a metric such as wrong_frac is fixed per seed
 and differs between seeds. Fewer than ten pairs never make a gain
 claimable: 2 of 2 or 3 of 3 wins happen by chance too often to count as
-evidence. Nor does a run with `correct: false`, or a pair in which the change failed more
-ops than the parent: a faster wrong answer is no gain.
+evidence. Nor does a run with `correct: false`, or a pair in which the
+change failed more ops than the parent: a faster wrong answer is no gain.
 
 A run that exits nonzero or prints no result line ends the loop: the
 report keeps the pairs finished before it, records the failed run (pair,

@@ -349,7 +349,8 @@ def mp_log_density(nu: float, k: int, point):
     if math.isinf(nu):
         return -k * mp.log(2 * mp.pi) / 2 - sq / 2
     nu = mp.mpf(nu)
-    return mp.loggamma((nu + k) / 2) - mp.loggamma(nu / 2) - k * mp.log(mp.pi * nu) / 2 - (nu + k) / 2 * mp.log1p(sq / nu)
+    log_c = mp.loggamma((nu + k) / 2) - mp.loggamma(nu / 2) - k * mp.log(mp.pi * nu) / 2
+    return log_c - (nu + k) / 2 * mp.log1p(sq / nu)
 
 
 def outcome(fn, *args):
