@@ -174,10 +174,14 @@ def _log_gamma_ratio(a: float, s: float) -> float:
 def _ratio_terms(a: float, f: float, whole: int) -> list[float]:
     # the terms of Q(a, f + whole) on _log_gamma_ratio's main branch, 0 <= f < 1: Q(a, f),
     # then log1p((f + j) / a) for j < whole, so the first w + 1 of them sum to Q(a, f + w)
-    # for every w <= whole. For f = 0 the first two are 0.0, which leaves every fsum as is
+    # for every w <= whole. For f = 0 the first two are 0.0, which leaves every fsum as is.
+    # The float counter j takes the whole values exactly (whole <= _MAX_STEPS < 2^53), so
+    # f + j is a float add with the bits of f plus the integer j
     terms = [_fraction_term(a, f) if f else 0.0]
-    for j in range(whole):
+    j = 0.0
+    for _ in range(whole):
         terms.append(log1p((f + j) / a))
+        j += 1.0
     return terms
 
 
@@ -295,17 +299,24 @@ def _lentz(d: float, c: float, steps) -> tuple[float, int]:
 
 
 def _beta_steps(a: float, b: float, x: float):
-    # the incomplete beta fraction in pairs of even and odd terms
-    for m in range(1, 500):
-        m2 = 2 * m
+    # the incomplete beta fraction in pairs of even and odd terms. m and 2m count in floats,
+    # exact at these sizes; a - 1.0 + 2m is (a - 1.0) + 2m, so the hoisted sums keep the bits
+    a_less, a_more, a_b = a - 1.0, a + 1.0, a + b
+    m = 0.0
+    for _ in range(1, 500):
+        m += 1.0
+        m2 = m + m
         yield (
-            (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)), 1.0),
-            (-(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)), 1.0),
+            (m * (b - m) * x / ((a_less + m2) * (a + m2)), 1.0),
+            (-(a + m) * (a_b + m) * x / ((a + m2) * (a_more + m2)), 1.0),
         )
 
 
 def _upper_gamma_steps(a: float, b: float):
-    for i in range(1, 10000):
+    # i counts in floats, exact at these sizes
+    i = 0.0
+    for _ in range(1, 10000):
+        i += 1.0
         b += 2.0
         yield ((-i * (i - a), b),)
 

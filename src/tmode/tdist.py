@@ -148,24 +148,36 @@ def log_density(nu, k: int, point: Sequence[float] | Iterable[float]) -> float:
     """Log density at a k-dimensional point.
 
     The point must have exactly k coordinates; anything else raises
-    DimensionMismatchError. The density depends on the point only
-    through its norm (the family is isotropic): |x| from math.hypot,
-    under one ulp off and exactly |t| on an axis, then squared. Where
-    |x|^2 / nu overflows, ln q = ln |x|^2 - ln nu takes 2 ln |x| once
-    |x|^2 overflows, and rescales by the largest |c| once |x| does.
+    DimensionMismatchError. Each coordinate is read as float() reads it,
+    so numeric strings and Decimals count; one that float() refuses
+    raises DomainError, and so does a nan or infinite one. The point is
+    read whole before its coordinates are converted. The density depends
+    on the point only through its norm (the family is isotropic): |x|
+    from math.hypot, under one ulp off and exactly |t| on an axis, then
+    squared. Where |x|^2 / nu overflows, ln q = ln |x|^2 - ln nu takes
+    2 ln |x| once |x|^2 overflows, and rescales by the largest |c| once
+    |x| does.
     """
     nu = check_dof(nu)
     k = check_dim(k)
     try:
-        # a tuple, which hypot(*coords) passes on without a copy
-        coords = tuple(map(float, point))
+        # tuple() returns a tuple as it is, and hypot(*coords) passes a tuple on without a copy
+        coords = tuple(point)
+        try:
+            # hypot reads floats, ints and numbers with __float__ or __index__ as float() does
+            norm = math.hypot(*coords)
+        except _NOT_REAL:
+            # a numeric string, or a coordinate float() refuses too, which raises here
+            coords = tuple(map(float, coords))
+            norm = math.hypot(*coords)
     except _NOT_REAL as exc:
         raise DomainError(f"coordinates must be real numbers: {exc}") from None
     if len(coords) != k:
         raise DimensionMismatchError(f"expected {k} coordinates, got {len(coords)}")
-    norm = math.hypot(*coords)
     if not math.isfinite(norm):
-        # a nan or infinite coordinate makes the norm nan or inf, so only then look for one
+        # a nan or infinite coordinate makes the norm nan or inf, so only then look for one;
+        # the scan and the rescaled norm below need the coordinates as floats
+        coords = tuple(map(float, coords))
         for c in coords:
             if math.isnan(c) or math.isinf(c):
                 raise DomainError(f"coordinates must be finite, got {c!r}")

@@ -522,6 +522,29 @@ class TestVerifyDimension:
         assert row[5] is False
         assert failures == ["k=4: product-form disagreement product rel 1.00e-09"]
 
+    # default_nu_grid()'s fourth point, where ln c(nu, 898) is 3590.6 and c passes the double range
+    K898_NU = monotone.default_nu_grid()[3]
+
+    def test_log_comparison_passes_its_rounding(self):
+        # the logs differ by 3 ulps of ln c, 1.36e-12, past PRODUCT_RTOL but within the
+        # rounding that _product_rel allows for where c or p leaves the normal doubles
+        nu = self.K898_NU
+        gap, bound = monotone._product_rel(nu, 898, tdist.log_mode_value(nu, 898))
+        assert tdist.mode_value(nu, 898) == math.inf
+        assert gap / math.ulp(3590.6) == pytest.approx(3.0, rel=1e-9)
+        assert monotone.PRODUCT_RTOL < gap <= bound
+        row, failures = monotone.verify_dimension(898, [nu, 2.0 * nu])
+        assert failures == []
+        assert row[4:] == ["product rel 1.36e-12", True]
+
+    def test_product_disagreement_in_logs_fails(self, monkeypatch):
+        # a product off by 1e-9 where c and p are compared in logs: ln(1/2) is used there only
+        monkeypatch.setattr(monotone, "_LOG_HALF", math.log(0.5) + 1e-9)
+        row, failures = monotone.verify_dimension(898, [self.K898_NU, 2.0 * self.K898_NU])
+        assert float(row[4].removeprefix("product rel ")) == pytest.approx(1e-9, rel=0.01)
+        assert row[5] is False
+        assert failures == [f"k=898: product-form disagreement {row[4]}"]
+
     @pytest.mark.parametrize(
         "report, failure",
         [

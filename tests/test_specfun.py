@@ -327,6 +327,65 @@ class TestLogGammaRatio:
                 assert specfun._log_gamma_ratio(a, s).hex() == loop_log_gamma_ratio(a, s).hex(), (a, s)
 
 
+# The previous step loops, with integer counters, kept as the references for their bits.
+def loop_ratio_terms(a: float, f: float, whole: int) -> list[float]:
+    terms = [specfun._fraction_term(a, f) if f else 0.0]
+    for j in range(whole):
+        terms.append(math.log1p((f + j) / a))
+    return terms
+
+
+def loop_beta_steps(a: float, b: float, x: float):
+    for m in range(1, 500):
+        m2 = 2 * m
+        yield (
+            (m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)), 1.0),
+            (-(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)), 1.0),
+        )
+
+
+def loop_upper_gamma_steps(a: float, b: float):
+    for i in range(1, 10000):
+        b += 2.0
+        yield ((-i * (i - a), b),)
+
+
+def hexes(values) -> list[str]:
+    # nested tuples of floats, as their hex strings
+    return [hexes(v) if isinstance(v, tuple) else v.hex() for v in values]
+
+
+class TestStepKernels:
+    """The float-counter step loops have the integer-counter loops' bits."""
+
+    def test_ratio_terms(self):
+        # a log-uniform on [1e-300, 1e300]; f = 0, 1/2 and arbitrary; whole up to 10^4
+        rng = random.Random(33)
+        wholes = [0, 1, 2, 3, 250, 251, 4097, 8193, specfun._MAX_STEPS]
+        wholes += [rng.randrange(specfun._MAX_STEPS + 1) for _ in range(6)]
+        fractions = [0.0, 0.5, 0.1, 0.875, 1.0 - 2.0**-53, 2.0**-40] + [rng.random() for _ in range(4)]
+        for a in [1e-300, 0.5, 15.0, 1e300] + [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(6)]:
+            for f in fractions:
+                whole = rng.choice(wholes)
+                assert hexes(specfun._ratio_terms(a, f, whole)) == hexes(loop_ratio_terms(a, f, whole)), (a, f, whole)
+
+    def test_beta_steps(self):
+        # shapes log-uniform on [1e-300, 1e150] and every step of the fraction's 499
+        rng = random.Random(34)
+        shapes = [1e-300, 0.5, 1.0, 250.0, 1e150] + [10.0 ** rng.uniform(-300.0, 150.0) for _ in range(10)]
+        for a in shapes:
+            for b in rng.sample(shapes, 4):
+                x = rng.random()
+                assert hexes(specfun._beta_steps(a, b, x)) == hexes(loop_beta_steps(a, b, x)), (a, b, x)
+
+    def test_upper_gamma_steps(self):
+        # a log-uniform on [1e-300, 1e300] and every step of the fraction's 9,999
+        rng = random.Random(35)
+        for a in [1e-300, 0.5, 250.0, 1e300] + [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(4)]:
+            b = a * rng.uniform(0.0, 3.0) + 1.0 - a
+            assert hexes(specfun._upper_gamma_steps(a, b)) == hexes(loop_upper_gamma_steps(a, b)), (a, b)
+
+
 class TestDigamma:
     @pytest.mark.parametrize("x,want", DIGAMMA_REFS)
     def test_frozen_references(self, x, want):

@@ -3,8 +3,10 @@
 import math
 import random
 import sys
+from decimal import Decimal
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from tmode import ballprob, errors, mcoracle, monotone, tdist
@@ -360,6 +362,87 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+# log_density(nu, k, point) for nu = 2.5, inf and 1e-310, recorded where every coordinate
+# went through float() before |x| was formed: (id, k, a builder of a fresh point, and the
+# three results' hex strings or the one error's type and message)
+# fmt: off
+INPUT_FORMS = [
+    ("tuple", 3, lambda: (0.3, -1.2, 2.5),
+     ('-0x1.9a00bf5e3062ep+2', '-0x1.a9656d41b8a13p+2', '-0x1.67b47247f631ap+9')),
+    ("list", 3, lambda: [0.3, -1.2, 2.5],
+     ('-0x1.9a00bf5e3062ep+2', '-0x1.a9656d41b8a13p+2', '-0x1.67b47247f631ap+9')),
+    ("generator", 3, lambda: (c for c in (0.3, -1.2, 2.5)),
+     ('-0x1.9a00bf5e3062ep+2', '-0x1.a9656d41b8a13p+2', '-0x1.67b47247f631ap+9')),
+    ("range", 3, lambda: range(-1, 2),
+     ('-0x1.089af4af97c6cp+2', '-0x1.e0df5564b8f08p+1', '-0x1.66afa1c1123cap+9')),
+    ("numpy float64 array", 3, lambda: np.array([0.3, -1.2, 2.5]),
+     ('-0x1.9a00bf5e3062ep+2', '-0x1.a9656d41b8a13p+2', '-0x1.67b47247f631ap+9')),
+    ("numpy int64 array", 3, lambda: np.array([1, -2, 3]),
+     ('-0x1.ed47732f1765cp+2', '-0x1.3837d5592e3c2p+3', '-0x1.68253f213c990p+9')),
+    ("numpy float32 array", 3, lambda: np.array([0.3, -1.2, 2.5], dtype=np.float32),
+     ('-0x1.9a00bf811d75ep+2', '-0x1.a9656d83004f5p+2', '-0x1.67b472482889ep+9')),
+    ("numpy past 1.3e154", 2, lambda: np.array([1e200, -3e199]),
+     ('-0x1.03097e9e7c240p+11', '-inf', '-0x1.99309b2b5da2cp+10')),
+    ("numpy past the double range", 3, lambda: np.array([1e308, -1e308, 1.0]),
+     ('-0x1.e7cf7937f4611p+11', '-inf', '-0x1.639ebe764e8b8p+11')),
+    ("numeric strings", 3, lambda: ("0.3", " -1.2 ", "2.5e0"),
+     ('-0x1.9a00bf5e3062ep+2', '-0x1.a9656d41b8a13p+2', '-0x1.67b47247f631ap+9')),
+    ("a string of digits", 3, lambda: "123",
+     ('-0x1.ed47732f1765cp+2', '-0x1.3837d5592e3c2p+3', '-0x1.68253f213c990p+9')),
+    ("Decimal", 3, lambda: (Decimal("0.3"), Decimal("-1.2"), Decimal("2.5")),
+     ('-0x1.9a00bf5e3062ep+2', '-0x1.a9656d41b8a13p+2', '-0x1.67b47247f631ap+9')),
+    ("bools", 3, lambda: (True, False, True),
+     ('-0x1.089af4af97c6cp+2', '-0x1.e0df5564b8f08p+1', '-0x1.66afa1c1123cap+9')),
+    ("ints past 2**53", 3, lambda: (2**53 + 1, -(2**60 + 3), 7),
+     ('-0x1.c97955bfb5b98p+7', '-0x1.0004000000000p+119', '-0x1.a48cab9c32226p+9')),
+    ("ints past 1.3e154", 2, lambda: (10**200, -(10**199)),
+     ('-0x1.03040198a5ff2p+11', '-inf', '-0x1.992bba429f492p+10')),
+    ("ints near the double range", 3, lambda: (10**308, -(10**308), 1),
+     ('-0x1.e7cf7937f4611p+11', '-inf', '-0x1.639ebe764e8b8p+11')),
+    ("int past the double range", 3, lambda: (1.0, 10**400, 2.0),
+     ('DomainError', 'coordinates must be real numbers: int too large to convert to float')),
+    ("negative int past the double range", 3, lambda: [-(10**400), "x", 2.0],
+     ('DomainError', 'coordinates must be real numbers: int too large to convert to float')),
+    ("string past the double range", 3, lambda: ("1e400", "0", "0"),
+     ('DomainError', 'coordinates must be finite, got inf')),
+    ("Decimal past the double range", 3, lambda: (Decimal("1e400"), 0.0, 0.0),
+     ('DomainError', 'coordinates must be finite, got inf')),
+    ("nan float", 3, lambda: (1.0, math.nan, 2.0),
+     ('DomainError', 'coordinates must be finite, got nan')),
+    ("inf float", 3, lambda: (math.inf, 1.0, 2.0),
+     ('DomainError', 'coordinates must be finite, got inf')),
+    ("-inf float after a huge one", 3, lambda: (1e308, 1e308, -math.inf),
+     ('DomainError', 'coordinates must be finite, got -inf')),
+    ("nan numpy float64", 3, lambda: (np.float64(1.0), np.float64("nan"), 2.0),
+     ('DomainError', 'coordinates must be finite, got nan')),
+    ("-inf numpy float64", 3, lambda: [np.float64(-math.inf), 0.0, 0.0],
+     ('DomainError', 'coordinates must be finite, got -inf')),
+    ("nan in a numpy array", 3, lambda: np.array([0.5, np.nan, np.inf]),
+     ('DomainError', 'coordinates must be finite, got nan')),
+    ("nan string", 3, lambda: ("1.0", "nan", "2.0"),
+     ('DomainError', 'coordinates must be finite, got nan')),
+    ("-inf string", 3, lambda: ["-inf", 1, 2],
+     ('DomainError', 'coordinates must be finite, got -inf')),
+    ("nan Decimal", 3, lambda: (Decimal("NaN"), 1.0, 2.0),
+     ('DomainError', 'coordinates must be finite, got nan')),
+    ("signaling nan Decimal", 3, lambda: (1.0, Decimal("sNaN"), 2.0),
+     ('DomainError', 'coordinates must be real numbers: cannot convert signaling NaN to float')),
+    ("non-numeric string", 3, lambda: (1.0, "x", 2.0),
+     ('DomainError', "coordinates must be real numbers: could not convert string to float: 'x'")),
+    ("not iterable", 3, lambda: 5,
+     ('DomainError', "coordinates must be real numbers: 'int' object is not iterable")),
+    ("too few numeric strings", 3, lambda: ("1", "2"),
+     ('DimensionMismatchError', 'expected 3 coordinates, got 2')),
+    ("too many ints", 2, lambda: (1, 2, 3),
+     ('DimensionMismatchError', 'expected 2 coordinates, got 3')),
+    ("too few, one not real", 3, lambda: ("x", 1.0),
+     ('DomainError', "coordinates must be real numbers: could not convert string to float: 'x'")),
+    ("empty", 1, lambda: (),
+     ('DimensionMismatchError', 'expected 1 coordinates, got 0')),
+]
+# fmt: on
+
+
 class TestLogDensity:
     @pytest.mark.parametrize("nu", [2.5, math.inf, 1e-310])
     @pytest.mark.parametrize(
@@ -383,6 +466,11 @@ class TestLogDensity:
     )
     def test_same_bits_and_errors_as_the_loop_check(self, nu, point):
         assert outcome(tdist.log_density, nu, 3, point) == outcome(loop_log_density, nu, 3, point)
+
+    @pytest.mark.parametrize("k, build, want", [case[1:] for case in INPUT_FORMS], ids=[case[0] for case in INPUT_FORMS])
+    def test_input_forms_keep_their_recorded_outcome(self, k, build, want):
+        got = [outcome(tdist.log_density, nu, k, build()) for nu in (2.5, math.inf, 1e-310)]
+        assert got == ([("value", h) for h in want] if len(want) == 3 else [want] * 3)
 
     @pytest.mark.parametrize("nu,k,t,want", DENSITY_E1_REFS)
     def test_frozen_references_along_first_axis(self, nu, k, t, want):
