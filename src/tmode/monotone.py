@@ -282,9 +282,9 @@ def _sweep(ks: range, vals: tuple[float, ...]) -> list[tuple]:
     # (k, its MonotonicityReport or MonotonicityViolationError, verdict) per k of one block
     # of dimensions, from one walk over the grid; the verdict is the independent route's:
     # for even k the worst product-form gap and whether every gap is within its bound, for
-    # odd k >= 3 the first induction failure (None if none). At each point the walk makes the row of scaled derivative sums of every k,
-    # the central differences of ln c, and the independent route, whose induction step reads
-    # S(nu, k + 2) from the row. The log-gamma sums at nu +/- h (and at nu for ln c) are
+    # odd k >= 3 the first induction failure (None if none). At each point the walk makes
+    # the row of scaled derivative sums of every k, the central differences of ln c, and the
+    # independent route, whose induction step reads S(nu, k + 2) from the row. The log-gamma sums at nu +/- h (and at nu for ln c) are
     # prefix sums of one term list per parity and point (see _log_ratio_values)
     n = len(ks)
     sums, fds = array("d"), array("d")
